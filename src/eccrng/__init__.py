@@ -7,145 +7,22 @@ error correction share one generator polynomial per code, so the same
 registry drives both.
 """
 
-from .bitio import (
-    ASCII,
-    PACKED,
-    RunManifest,
-    load_manifest,
-    manifest_for_file,
-    manifest_path_for,
-    pack_bits,
-    read_bit_file,
-    unpack_bits,
-    write_bit_file,
-    write_manifest,
-)
-from .codes import (
-    BchCode,
-    CompressionMatrix,
-    DecodeResult,
-    bch_decode,
-    bch_encode,
-    build_compression_matrix,
-    code_registry,
-    compress_block,
-    compress_stream_matrix,
-    compress_stream_shiftreg,
-    lookup_code,
-    predicted_output_bias,
-)
-from .gf2 import Gf2Matrix, Gf2Poly, as_bit_array, matvec, poly_from_octal, poly_to_octal
-from .source import (
-    PRESETS,
-    CalibrationError,
-    SourceConfig,
-    SwitchingModel,
-    bernoulli_stream,
-    calibrate_current,
-    calibrate_current_empirical,
-    default_switching_models,
-    generate_stream,
-    load_switching_models,
-    markov_stream,
-    mtj_stream,
-    switching_probability,
-)
-from .stats import (
-    BatteryReport,
-    TestResult,
-    approximate_entropy_test,
-    block_frequency_test,
-    cumulative_sums_test,
-    longest_run_test,
-    monobit_test,
-    parse_report,
-    render_report,
-    run_battery,
-    runs_test,
-    serial_test,
-    spectral_test,
-)
-from .whiten import (
-    EccStage,
-    LfsrSpec,
-    LfsrStage,
-    PipelineSpec,
-    RejectionStage,
-    SHIPPED_TAP_SETS,
-    expected_rejection_rate,
-    lfsr_free_run_period,
-    lfsr_whiten,
-    run_pipeline,
-    von_neumann,
-)
+from . import bitio, codes, gf2, source, stats, whiten
+from .bitio import *
+from .codes import *
+from .gf2 import *
+from .source import *
+from .stats import *
+from .whiten import *
 
 __version__ = "0.1.0"
 
+# Public names are declared once, in each module's __all__.
 __all__ = [
-    "ASCII",
-    "PACKED",
-    "PRESETS",
-    "SHIPPED_TAP_SETS",
-    "BatteryReport",
-    "BchCode",
-    "CalibrationError",
-    "CompressionMatrix",
-    "DecodeResult",
-    "EccStage",
-    "Gf2Matrix",
-    "Gf2Poly",
-    "LfsrSpec",
-    "LfsrStage",
-    "PipelineSpec",
-    "RejectionStage",
-    "RunManifest",
-    "SourceConfig",
-    "SwitchingModel",
-    "TestResult",
-    "approximate_entropy_test",
-    "as_bit_array",
-    "bch_decode",
-    "bch_encode",
-    "bernoulli_stream",
-    "block_frequency_test",
-    "build_compression_matrix",
-    "calibrate_current",
-    "calibrate_current_empirical",
-    "code_registry",
-    "compress_block",
-    "compress_stream_matrix",
-    "compress_stream_shiftreg",
-    "cumulative_sums_test",
-    "default_switching_models",
-    "expected_rejection_rate",
-    "generate_stream",
-    "lfsr_free_run_period",
-    "lfsr_whiten",
-    "load_manifest",
-    "load_switching_models",
-    "longest_run_test",
-    "lookup_code",
-    "manifest_for_file",
-    "manifest_path_for",
-    "markov_stream",
-    "matvec",
-    "monobit_test",
-    "mtj_stream",
-    "pack_bits",
-    "parse_report",
-    "poly_from_octal",
-    "poly_to_octal",
-    "predicted_output_bias",
-    "read_bit_file",
-    "render_report",
-    "run_battery",
-    "run_pipeline",
-    "runs_test",
-    "serial_test",
-    "spectral_test",
-    "switching_probability",
-    "unpack_bits",
-    "von_neumann",
-    "write_bit_file",
-    "write_manifest",
+    *bitio.__all__,
+    *codes.__all__,
+    *gf2.__all__,
+    *source.__all__,
+    *stats.__all__,
+    *whiten.__all__,
 ]

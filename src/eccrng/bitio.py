@@ -33,6 +33,7 @@ __all__ = [
     "manifest_path_for",
     "write_manifest",
     "load_manifest",
+    "manifest_for_file",
     "sha256_hex",
 ]
 

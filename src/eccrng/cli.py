@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from . import bitio, stats
-from .codes import code_registry, lookup_code
+from .codes import compress_stream_shiftreg, lookup_code
 from .source import (
     PRESETS,
     CalibrationError,
@@ -84,8 +84,16 @@ def _default_seed() -> int:
         raise UsageError(f"{SEED_ENV_VAR}={raw!r} is not an integer seed") from None
 
 
-def _resolve_seed(args) -> int:
-    return args.seed if args.seed is not None else _default_seed()
+def _resolve_seed(args, argv: list[str]) -> tuple[int, list[str]]:
+    """The run's seed, and argv with that seed spelled out.
+
+    The manifest stores argv for replay, so a seed taken from the
+    environment is added to it; the replay then needs no environment.
+    """
+    if args.seed is not None:
+        return args.seed, argv
+    seed = _default_seed()
+    return seed, [*argv, "--seed", str(seed)]
 
 
 def _parse_taps(text: str) -> LfsrSpec:
@@ -120,33 +128,37 @@ def _build_stages(args) -> PipelineSpec:
                 LfsrStage(_parse_taps(value), seed=args.lfsr_seed, injection=args.injection)
             )
         else:
-            built.append(EccStage(_parse_code(value), route=args.route))
+            built.append(EccStage(_parse_code(value)))
     return PipelineSpec(tuple(built))
 
 
-def _stage_label(stage) -> str:
-    if isinstance(stage, RejectionStage):
-        return "rejection"
-    if isinstance(stage, LfsrStage):
-        return "lfsr(%s)" % ",".join(str(t) for t in stage.spec.taps)
-    return "ecc(%d,%d,%d)" % (stage.code.n, stage.code.k, stage.code.t)
+def _verified_manifest(path: str):
+    """The sidecar manifest of path, refused when it describes other bytes."""
+    manifest = bitio.manifest_for_file(path)
+    if manifest is not None:
+        with open(path, "rb") as fh:
+            sha = bitio.sha256_hex(fh.read())
+        if sha != manifest.output_sha256:
+            raise CliIoError(
+                f"{path} does not match the output_sha256 of {bitio.manifest_path_for(path)}"
+            )
+    return manifest
 
 
 def _read_input(args) -> tuple[np.ndarray, str]:
     path = args.input
     try:
-        encoding = args.input_encoding
+        encoding, bit_count = args.input_encoding, args.bits
+        manifest = None
+        if encoding == "auto" or (encoding == bitio.PACKED and bit_count is None):
+            manifest = _verified_manifest(path)
         if encoding == "auto":
-            manifest = bitio.manifest_for_file(path)
             if manifest is not None and manifest.encoding in (bitio.PACKED, bitio.ASCII):
                 encoding = manifest.encoding
             else:
                 encoding = bitio.sniff_encoding(path)
-        bit_count = args.bits
-        if bit_count is None and encoding == bitio.PACKED:
-            manifest = bitio.manifest_for_file(path)
-            if manifest is not None:
-                bit_count = manifest.output_bits
+        if bit_count is None and encoding == bitio.PACKED and manifest is not None:
+            bit_count = manifest.output_bits
         bits = bitio.read_bit_file(path, encoding, bit_count, args.bit_order)
     except OSError as exc:
         raise CliIoError(f"cannot read {path}: {exc.strerror or exc}") from None
@@ -280,7 +292,7 @@ def _load_model(config_path, t_write):
 def cmd_generate(args, argv) -> int:
     if args.bits is None or args.bits < 0:
         raise UsageError("--bits must be a non-negative integer")
-    seed = _resolve_seed(args)
+    seed, argv = _resolve_seed(args, argv)
     cfg, params = _resolve_source(args, seed)
     bits = generate_stream(cfg)
     params["bits"] = int(bits.size)
@@ -295,16 +307,16 @@ def cmd_postprocess(args, argv) -> int:
     bits, in_encoding = _read_input(args)
     in_sha = bitio.sha256_hex(bitio.pack_bits(bits))
     out = run_pipeline(pipeline, bits)
+    labels = [s.label for s in pipeline.stages]
     params = {
-        "stages": [_stage_label(s) for s in pipeline.stages],
+        "stages": labels,
         "lfsr_seed": args.lfsr_seed,
         "injection": args.injection,
-        "route": args.route,
         "input_encoding": in_encoding,
         "input_bits": int(bits.size),
     }
     _write_output(args, argv, "postprocess", out, params, (args.input, in_sha))
-    chain = " -> ".join(_stage_label(s) for s in pipeline.stages)
+    chain = " -> ".join(labels)
     print(f"postprocess: {bits.size} bits -> {out.size} bits via {chain}; wrote {args.output}")
     return 0
 
@@ -357,7 +369,7 @@ def cmd_calibrate(args, argv) -> int:
     model = _load_model(args.model_config, args.t_write)
     try:
         if args.empirical:
-            seed = _resolve_seed(args)
+            seed, argv = _resolve_seed(args, argv)
             current = calibrate_current_empirical(
                 model,
                 target=args.target,
@@ -448,7 +460,7 @@ def _bench_source_config(args, seed: int) -> tuple[SourceConfig, str]:
 def cmd_bench(args, argv) -> int:
     if args.bits < 1:
         raise UsageError("--bits must be >= 1")
-    seed = _resolve_seed(args)
+    seed, argv = _resolve_seed(args, argv)
     cfg, source_label = _bench_source_config(args, seed)
     if getattr(args, "stages", None):
         pipeline = _build_stages(args)
@@ -465,23 +477,17 @@ def cmd_bench(args, argv) -> int:
     gen_seconds = time.perf_counter() - t0
     timings = [("generate", gen_seconds, args.bits, bits.size)]
 
-    from .codes import compress_stream_matrix, compress_stream_shiftreg
-    from .whiten import lfsr_whiten, von_neumann
-
     selfchecks = []
     cur = bits
     for stage in pipeline.stages:
-        label = _stage_label(stage)
+        label = stage.label
         t0 = time.perf_counter()
-        if isinstance(stage, RejectionStage):
-            out = von_neumann(cur)
-        elif isinstance(stage, LfsrStage):
-            out = lfsr_whiten(stage.spec, stage.seed, cur, stage.injection)
-        else:
-            out = compress_stream_matrix(stage.code, cur)
+        out = stage.apply(cur)
         seconds = time.perf_counter() - t0
         timings.append((label, seconds, cur.size, out.size))
         if isinstance(stage, EccStage):
+            # the bit-serial shift register is the reference the compressor
+            # must reproduce
             t0 = time.perf_counter()
             alt = compress_stream_shiftreg(stage.code, cur)
             alt_seconds = time.perf_counter() - t0
@@ -538,8 +544,6 @@ def _add_stage_flags(p: _Parser) -> None:
                    help="code compression stage, e.g. 31,16,3 (repeatable, order matters)")
     p.add_argument("--lfsr-seed", type=int, default=1, help="register preload for --lfsr stages")
     p.add_argument("--injection", choices=["feedback", "output-xor"], default=DEFAULT_INJECTION)
-    p.add_argument("--route", choices=["matrix", "shiftreg"], default="matrix",
-                   help="compression evaluation route for --ecc stages")
 
 
 def build_parser() -> _Parser:

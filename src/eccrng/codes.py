@@ -21,22 +21,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2 import (
-    Gf2Matrix,
-    Gf2Poly,
-    _gf2_divmod,
-    as_bit_array,
-    poly_from_octal,
-    poly_weight,
-)
+from .gf2 import Gf2Poly, _gf2_divmod, as_bit_array, poly_from_octal, poly_weight
 
 __all__ = [
     "BchCode",
-    "CompressionMatrix",
     "DecodeResult",
     "code_registry",
     "lookup_code",
-    "build_compression_matrix",
     "compress_block",
     "compress_stream_matrix",
     "compress_stream_shiftreg",
@@ -110,12 +101,6 @@ class DecodeResult:
     errors_corrected: int
 
 
-@dataclass(frozen=True, eq=False)
-class CompressionMatrix:
-    code: BchCode
-    matrix: Gf2Matrix
-
-
 @lru_cache(maxsize=None)
 def _registry() -> tuple[BchCode, ...]:
     return tuple(BchCode(n, k, t, octal) for n, k, t, octal in _CODE_TABLE)
@@ -139,19 +124,15 @@ def _reversed_generator_mask(code: BchCode) -> int:
 
 
 @lru_cache(maxsize=None)
-def _matrix_for(code: BchCode) -> Gf2Matrix:
+def _band_offsets(code: BchCode) -> tuple[int, ...]:
+    """Columns d (relative to the row) where a matrix row holds a 1.
+
+    Row i holds the generator highest-degree-first from column i, so
+    G[i, i + d] is the coefficient of x^(n-k-d); d = 0 is always present.
+    """
     deg = code.n - code.k
     g = code.generator.mask
-    row = [(g >> (deg - j)) & 1 for j in range(deg + 1)]  # highest degree first
-    a = np.zeros((code.k, code.n), dtype=np.uint8)
-    for i in range(code.k):
-        a[i, i : i + deg + 1] = row
-    return Gf2Matrix(a)
-
-
-def build_compression_matrix(code: BchCode) -> CompressionMatrix:
-    """The banded k x n matrix shared by the encoder and the compressor."""
-    return CompressionMatrix(code, _matrix_for(code))
+    return tuple(d for d in range(deg + 1) if (g >> (deg - d)) & 1)
 
 
 def compress_block(code: BchCode, block) -> np.ndarray:
@@ -159,24 +140,26 @@ def compress_block(code: BchCode, block) -> np.ndarray:
     y = as_bit_array(block)
     if y.size != code.n:
         raise ValueError(f"block length {y.size} != n = {code.n}")
-    m = _matrix_for(code).a
-    return ((m @ y) & 1).astype(np.uint8)
+    return compress_stream_matrix(code, y)
 
 
 def compress_stream_matrix(code: BchCode, bits) -> np.ndarray:
     """Blockwise matrix compression of a bit stream.
 
     The stream is cut into complete n-bit blocks (a trailing partial block
-    is discarded) and each block is multiplied by the banded matrix.
+    is discarded) and each block is multiplied by the banded matrix.  Because
+    the band is the generator shifted one column per row, z = G y for all
+    blocks at once is the XOR of the k-column windows of the blocks that
+    start at each of the generator's nonzero coefficients.
     """
     y = as_bit_array(bits)
-    nblocks = y.size // code.n
-    if nblocks == 0:
-        return np.empty(0, dtype=np.uint8)
-    blocks = y[: nblocks * code.n].reshape(nblocks, code.n)
-    # uint8 matmul is safe: row sums are bounded by n <= 127 < 256
-    z = (blocks @ _matrix_for(code).a.T) & 1
-    return np.ascontiguousarray(z.reshape(-1), dtype=np.uint8)
+    n, k = code.n, code.k
+    nblocks = y.size // n
+    blocks = y[: nblocks * n].reshape(nblocks, n)
+    z = blocks[:, :k].copy()  # offset 0, the leading coefficient
+    for d in _band_offsets(code)[1:]:
+        z ^= blocks[:, d : d + k]
+    return z.reshape(-1)
 
 
 def compress_stream_shiftreg(code: BchCode, bits) -> np.ndarray:

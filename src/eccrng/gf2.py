@@ -1,4 +1,4 @@
-"""GF(2) polynomial and matrix primitives.
+"""GF(2) polynomial primitives.
 
 Polynomials over GF(2) are stored as Python integers: bit i of the integer
 is the coefficient of x^i.  Addition is XOR, multiplication is carry-less,
@@ -13,26 +13,11 @@ import numpy as np
 
 __all__ = [
     "Gf2Poly",
-    "Gf2Matrix",
     "poly_from_octal",
     "poly_to_octal",
     "poly_weight",
-    "poly_mul_mod",
-    "matvec",
     "as_bit_array",
 ]
-
-
-def _clmul(a: int, b: int) -> int:
-    """Carry-less (GF(2)) product of two coefficient masks."""
-    r = 0
-    shift = 0
-    while b:
-        if b & 1:
-            r ^= a << shift
-        b >>= 1
-        shift += 1
-    return r
 
 
 def _gf2_divmod(a: int, m: int) -> tuple[int, int]:
@@ -50,10 +35,6 @@ def _gf2_divmod(a: int, m: int) -> tuple[int, int]:
         q |= 1 << shift
         a ^= m << shift
     return q, a
-
-
-def _gf2_mod(a: int, m: int) -> int:
-    return _gf2_divmod(a, m)[1]
 
 
 class Gf2Poly:
@@ -136,13 +117,6 @@ def poly_weight(p: Gf2Poly) -> int:
     return p.weight
 
 
-def poly_mul_mod(a: Gf2Poly, b: Gf2Poly, m: Gf2Poly) -> Gf2Poly:
-    """a * b mod m over GF(2)."""
-    if m.is_zero:
-        raise ValueError("zero modulus in poly_mul_mod")
-    return Gf2Poly(_gf2_mod(_clmul(a.mask, b.mask), m.mask))
-
-
 def as_bit_array(bits) -> np.ndarray:
     """Normalize a bit sequence (iterable / text / ndarray) to a uint8 array of 0/1."""
     if isinstance(bits, str):
@@ -160,46 +134,3 @@ def as_bit_array(bits) -> np.ndarray:
         raise ValueError("bit sequence entries must be 0 or 1")
     return a
 
-
-class Gf2Matrix:
-    """Dense matrix over GF(2); entries live in a read-only numpy uint8 array."""
-
-    __slots__ = ("a",)
-
-    def __init__(self, entries):
-        a = np.ascontiguousarray(entries, dtype=np.uint8)
-        if a.ndim != 2:
-            raise ValueError(f"matrix entries must be two-dimensional, got shape {a.shape}")
-        if a.size and a.max() > 1:
-            raise ValueError("matrix entries must be 0 or 1")
-        a.setflags(write=False)
-        self.a = a
-
-    @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Gf2Matrix) and self.a.shape == other.a.shape and bool(
-            np.array_equal(self.a, other.a)
-        )
-
-    def __hash__(self):
-        return hash(("Gf2Matrix", self.a.shape, self.a.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"Gf2Matrix({self.rows}x{self.cols})"
-
-
-def matvec(M: Gf2Matrix, v) -> np.ndarray:
-    """Matrix-vector product over GF(2): y[i] = XOR_j M[i,j] & v[j]."""
-    vv = as_bit_array(v)
-    if vv.size != M.cols:
-        raise ValueError(f"vector length {vv.size} does not match matrix columns {M.cols}")
-    # accumulate in int64 so arbitrary widths stay exact, then reduce mod 2
-    y = M.a.astype(np.int64) @ vv.astype(np.int64)
-    return (y & 1).astype(np.uint8)

@@ -12,6 +12,7 @@ is neither a pass nor a fail.
 from __future__ import annotations
 
 import math
+import shlex
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,6 @@ __all__ = [
     "serial_test",
     "approximate_entropy_test",
     "spectral_test",
-    "extended_tests",
     "run_battery",
     "render_report",
     "parse_report",
@@ -285,20 +285,6 @@ def spectral_test(bits, alpha: float = DEFAULT_ALPHA, min_length: int = 1000) ->
     return _result("spectral", [p], alpha, {"below_threshold": n1})
 
 
-def extended_tests(bits, params: dict | None = None, alpha: float = DEFAULT_ALPHA) -> list[TestResult]:
-    """The battery members beyond the three basic frequency tests."""
-    params = params or {}
-    m = params.get("pattern_length", DEFAULT_PATTERN_LENGTH)
-    return [
-        longest_run_test(bits, alpha),
-        cumulative_sums_test(bits, alpha, reverse=False),
-        cumulative_sums_test(bits, alpha, reverse=True),
-        serial_test(bits, alpha, pattern_length=m),
-        approximate_entropy_test(bits, alpha, pattern_length=m),
-        spectral_test(bits, alpha),
-    ]
-
-
 @dataclass(frozen=True, eq=False)
 class BatteryReport:
     results: tuple[TestResult, ...]
@@ -335,8 +321,13 @@ def run_battery(
         monobit_test(b, alpha),
         block_frequency_test(b, alpha, block_size=block_size),
         runs_test(b, alpha),
+        longest_run_test(b, alpha),
+        cumulative_sums_test(b, alpha, reverse=False),
+        cumulative_sums_test(b, alpha, reverse=True),
+        serial_test(b, alpha, pattern_length=pattern_length),
+        approximate_entropy_test(b, alpha, pattern_length=pattern_length),
+        spectral_test(b, alpha),
     ]
-    results.extend(extended_tests(b, {"pattern_length": pattern_length}, alpha))
     if all(r.skipped for r in results):
         raise EmptyBatteryError(f"{b.size} bits is below the minimum of every battery test")
     failure_count = sum(1 for r in results if r.passed is False)
@@ -380,7 +371,8 @@ def parse_report(text: str) -> dict:
             continue
         if line.startswith("test_name="):
             rec: dict = {}
-            for tok in line.split():
+            # a skip reason is written quoted and may contain spaces
+            for tok in shlex.split(line):
                 key, _, val = tok.partition("=")
                 rec[key] = val
             if "p_values" in rec:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import BchCode, compress_stream_matrix, compress_stream_shiftreg
+from .codes import BchCode, compress_stream_matrix
 from .gf2 import as_bit_array
 
 __all__ = [
@@ -156,9 +156,20 @@ def lfsr_free_run_period(spec: LfsrSpec, seed: int) -> int:
             raise RuntimeError("free-run cycle search did not close")
 
 
+# Each stage maps a bit array to a bit array with apply(bits) and names
+# itself with label, the name used in manifests and bench output.
+
+
 @dataclass(frozen=True)
 class RejectionStage:
     """Von Neumann pairwise rejection stage."""
+
+    @property
+    def label(self) -> str:
+        return "rejection"
+
+    def apply(self, bits) -> np.ndarray:
+        return von_neumann(bits)
 
 
 @dataclass(frozen=True)
@@ -167,15 +178,24 @@ class LfsrStage:
     seed: int = 1
     injection: str = DEFAULT_INJECTION
 
+    @property
+    def label(self) -> str:
+        return "lfsr(%s)" % ",".join(str(t) for t in self.spec.taps)
+
+    def apply(self, bits) -> np.ndarray:
+        return lfsr_whiten(self.spec, self.seed, bits, self.injection)
+
 
 @dataclass(frozen=True)
 class EccStage:
     code: BchCode
-    route: str = "matrix"  # or "shiftreg"
 
-    def __post_init__(self):
-        if self.route not in ("matrix", "shiftreg"):
-            raise ValueError(f"unknown compression route {self.route!r}")
+    @property
+    def label(self) -> str:
+        return f"ecc{self.code}"
+
+    def apply(self, bits) -> np.ndarray:
+        return compress_stream_matrix(self.code, bits)
 
 
 @dataclass(frozen=True)
@@ -197,13 +217,5 @@ class PipelineSpec:
 def run_pipeline(pipeline: PipelineSpec, bits) -> np.ndarray:
     out = as_bit_array(bits)
     for stage in pipeline.stages:
-        if isinstance(stage, RejectionStage):
-            out = von_neumann(out)
-        elif isinstance(stage, LfsrStage):
-            out = lfsr_whiten(stage.spec, stage.seed, out, stage.injection)
-        else:
-            if stage.route == "matrix":
-                out = compress_stream_matrix(stage.code, out)
-            else:
-                out = compress_stream_shiftreg(stage.code, out)
+        out = stage.apply(out)
     return out

@@ -100,6 +100,8 @@ def test_postprocess_requires_stages_and_known_codes(tmp_path):
                "--output", str(tmp_path / "o.bits")) == 1
     assert run("postprocess", str(raw), "--lfsr", "banana",
                "--output", str(tmp_path / "o.bits")) == 1
+    assert run("postprocess", str(raw), "--ecc", "31,16,3", "--route", "matrix",
+               "--output", str(tmp_path / "o.bits")) == 1
 
 
 def test_postprocess_rejection_stage(tmp_path):
@@ -117,6 +119,20 @@ def test_missing_input_is_io_error(tmp_path):
     assert run("postprocess", str(tmp_path / "nope.bits"), "--rejection",
                "--output", str(tmp_path / "o.bits")) == 2
     assert run("test", str(tmp_path / "nope.bits")) == 2
+
+
+def test_input_that_disagrees_with_its_manifest_is_io_error(tmp_path):
+    raw = tmp_path / "raw.bits"
+    assert run("generate", "--bernoulli", "0.5", "--bits", "1000", "--seed", "1",
+               "--output", str(raw)) == 0
+    raw.write_bytes(np.random.default_rng(2).bytes(1000))  # 8000 bits, stale sidecar
+    out = str(tmp_path / "o.bits")
+    assert run("postprocess", str(raw), "--rejection", "--output", out) == 2
+    assert run("test", str(raw), "--allow-short", "--input-encoding", "packed") == 2
+    # with the encoding and the bit count given, the sidecar is not consulted
+    assert run("postprocess", str(raw), "--rejection", "--input-encoding", "packed",
+               "--bits", "8000", "--output", out) == 0
+    assert load_manifest(manifest_path_for(out)).params["input_bits"] == 8000
 
 
 def test_unwritable_output_is_io_error(tmp_path):
@@ -208,17 +224,22 @@ def test_bench_rejects_bad_source():
 
 
 def test_manifest_replay_reproduces_bytes(tmp_path, monkeypatch):
-    first = tmp_path / "one"
-    second = tmp_path / "two"
-    first.mkdir()
-    second.mkdir()
-    monkeypatch.chdir(first)
-    assert run("generate", "--preset", "data-c", "--bits", "30000", "--seed", "5",
-               "--output", "cap.bits") == 0
-    argv = json.loads((first / "cap.bits.manifest.json").read_text())["argv"]
-    monkeypatch.chdir(second)
-    assert run(*argv) == 0
-    assert (first / "cap.bits").read_bytes() == (second / "cap.bits").read_bytes()
+    # the seed comes from --seed, or from the environment, which the replay lacks
+    for name, seed_args, env_seed in (("flag", ["--seed", "5"], None), ("env", [], "5")):
+        first = tmp_path / name / "one"
+        second = tmp_path / name / "two"
+        first.mkdir(parents=True)
+        second.mkdir()
+        monkeypatch.chdir(first)
+        if env_seed is not None:
+            monkeypatch.setenv("ECCRNG_SEED", env_seed)
+        assert run("generate", "--preset", "data-c", "--bits", "30000", *seed_args,
+                   "--output", "cap.bits") == 0
+        argv = json.loads((first / "cap.bits.manifest.json").read_text())["argv"]
+        monkeypatch.delenv("ECCRNG_SEED", raising=False)
+        monkeypatch.chdir(second)
+        assert run(*argv) == 0
+        assert (first / "cap.bits").read_bytes() == (second / "cap.bits").read_bytes()
 
 
 def test_ascii_encoding_flows_through(tmp_path):

@@ -6,7 +6,6 @@ import pytest
 from eccrng.codes import (
     bch_decode,
     bch_encode,
-    build_compression_matrix,
     code_registry,
     compress_block,
     compress_stream_matrix,
@@ -43,10 +42,17 @@ def test_lookup_miss_lists_what_exists():
     assert "(31,26,1)" in str(exc.value)
 
 
+def _compression_matrix(code):
+    """G column by column: column j is the image of the j-th unit vector."""
+    columns = []
+    for j in range(code.n):
+        unit = np.zeros(code.n, dtype=np.uint8)
+        unit[j] = 1
+        columns.append(compress_block(code, unit))
+    return np.stack(columns, axis=1)
+
+
 def test_compression_matrix_is_banded():
-    code = lookup_code(7, 4, 1)
-    cm = build_compression_matrix(code)
-    assert cm.code is code
     expected = np.array(
         [
             [1, 0, 1, 1, 0, 0, 0],
@@ -56,7 +62,14 @@ def test_compression_matrix_is_banded():
         ],
         dtype=np.uint8,
     )
-    assert np.array_equal(cm.matrix.a, expected)
+    assert np.array_equal(_compression_matrix(lookup_code(7, 4, 1)), expected)
+    for code in code_registry():
+        deg = code.n - code.k
+        row = [(code.generator.mask >> (deg - j)) & 1 for j in range(deg + 1)]
+        band = np.zeros((code.k, code.n), dtype=np.uint8)
+        for i in range(code.k):
+            band[i, i : i + deg + 1] = row
+        assert np.array_equal(_compression_matrix(code), band), str(code)
 
 
 def test_compress_block_unit_and_ones():
@@ -94,11 +107,16 @@ def test_routes_agree_exhaustive_smallest_code():
 @pytest.mark.parametrize("row", EXPECTED_TABLE, ids=lambda r: f"{r[0]}-{r[1]}-{r[2]}")
 def test_routes_agree_randomized(row):
     code = lookup_code(*row[:3])
+    n = code.n
     rng = np.random.default_rng(row[0] * 1000 + row[1])
-    bits = rng.integers(0, 2, code.n * 200, dtype=np.uint8)
-    assert np.array_equal(
-        compress_stream_matrix(code, bits), compress_stream_shiftreg(code, bits)
-    )
+    lengths = [0, 1, n - 1, n, n + 1, n * 200]
+    lengths += [int(v) for v in rng.integers(2, 40 * n, 8) if v % n]
+    for length in lengths:
+        bits = rng.integers(0, 2, length, dtype=np.uint8)
+        fast = compress_stream_matrix(code, bits)
+        assert fast.dtype == np.uint8
+        assert fast.size == (length // n) * code.k
+        assert np.array_equal(fast, compress_stream_shiftreg(code, bits)), length
 
 
 def test_encode_basis_message_is_reversed_generator():

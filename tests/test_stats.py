@@ -243,9 +243,13 @@ def test_report_round_trip():
 
 
 def test_report_records_skips():
+    # parse_report inverts render_report exactly, skip reasons included
     report = run_battery(bernoulli_stream(0.5, 4, 500))
     meta = parse_report(render_report(report))
-    skipped = [t for t in meta["tests"] if t["skipped"]]
-    assert skipped
-    for t in skipped:
-        assert "p_values" not in t
+    assert any(t["skipped"] for t in meta["tests"])
+    for rec, r in zip(meta["tests"], report.results, strict=True):
+        if r.skipped:
+            assert rec == {"test_name": r.test_name, "skipped": True, "reason": r.skip_reason}
+        else:
+            assert set(rec) == {"test_name", "p_values", "passed", "skipped"}
+            assert rec["passed"] == r.passed

@@ -164,9 +164,8 @@ def test_pipeline_stage_equivalences():
 
     from eccrng.codes import compress_stream_matrix
 
-    for route in ("matrix", "shiftreg"):
-        got = run_pipeline(PipelineSpec((EccStage(code, route=route),)), bits)
-        assert np.array_equal(got, compress_stream_matrix(code, bits))
+    got = run_pipeline(PipelineSpec((EccStage(code),)), bits)
+    assert np.array_equal(got, compress_stream_matrix(code, bits))
 
 
 def test_pipeline_composes_in_order():
@@ -185,5 +184,3 @@ def test_pipeline_validation():
         PipelineSpec(())
     with pytest.raises(ValueError):
         PipelineSpec(("lfsr",))
-    with pytest.raises(ValueError):
-        EccStage(lookup_code(7, 4, 1), route="quantum")
