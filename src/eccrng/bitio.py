@@ -28,6 +28,8 @@ __all__ = [
     "RunManifest",
     "pack_bits",
     "unpack_bits",
+    "encode_bits",
+    "decode_bits",
     "write_bit_file",
     "read_bit_file",
     "manifest_path_for",
@@ -65,17 +67,46 @@ def unpack_bits(payload: bytes, bit_count: int | None = None, bit_order: str = M
     return np.unpackbits(raw, count=bit_count, bitorder=order)
 
 
-def write_bit_file(path: str, bits, encoding: str = PACKED, bit_order: str = MSB_FIRST) -> bytes:
-    """Write the stream; returns the payload bytes actually written."""
+def encode_bits(bits, encoding: str = PACKED, bit_order: str = MSB_FIRST) -> bytes:
+    """The file payload of the stream in the given encoding."""
     b = as_bit_array(bits)
     if encoding == PACKED:
-        payload = pack_bits(b, bit_order)
-    elif encoding == ASCII:
-        text = "".join("01"[v] for v in b.tolist())
-        chunks = [text[i : i + _ASCII_WRAP] for i in range(0, len(text), _ASCII_WRAP)]
-        payload = ("\n".join(chunks) + "\n").encode("ascii") if chunks else b""
-    else:
+        return pack_bits(b, bit_order)
+    if encoding != ASCII:
         raise ValueError(f"unknown encoding {encoding!r}")
+    if not b.size:
+        return b""
+    # a newline after every _ASCII_WRAP digits and after the last one
+    breaks = np.arange(_ASCII_WRAP, b.size, _ASCII_WRAP)
+    return np.insert(b + ord("0"), breaks, ord("\n")).tobytes() + b"\n"
+
+
+def decode_bits(
+    payload: bytes,
+    encoding: str = PACKED,
+    bit_count: int | None = None,
+    bit_order: str = MSB_FIRST,
+) -> np.ndarray:
+    """The first bit_count bits of a file payload (default: all of them)."""
+    if encoding == PACKED:
+        return unpack_bits(payload, bit_count, bit_order)
+    if encoding != ASCII:
+        raise ValueError(f"unknown encoding {encoding!r}")
+    try:
+        text = payload.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not an ascii bit file ({exc})") from None
+    bits = as_bit_array(text)
+    if bit_count is None:
+        return bits
+    if bit_count > bits.size:
+        raise ValueError(f"bit count {bit_count} exceeds the {bits.size} bits in the file")
+    return bits[:bit_count]
+
+
+def write_bit_file(path: str, bits, encoding: str = PACKED, bit_order: str = MSB_FIRST) -> bytes:
+    """Write the stream; returns the payload bytes actually written."""
+    payload = encode_bits(bits, encoding, bit_order)
     with open(path, "wb") as fh:
         fh.write(payload)
     return payload
@@ -88,22 +119,12 @@ def read_bit_file(
     bit_order: str = MSB_FIRST,
 ) -> np.ndarray:
     with open(path, "rb") as fh:
-        payload = fh.read()
-    if encoding == ASCII:
-        try:
-            text = payload.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not an ascii bit file ({exc})") from None
-        return as_bit_array(text)
-    if encoding == PACKED:
-        return unpack_bits(payload, bit_count, bit_order)
-    raise ValueError(f"unknown encoding {encoding!r}")
+        return decode_bits(fh.read(), encoding, bit_count, bit_order)
 
 
-def sniff_encoding(path: str) -> str:
-    """Best-effort guess: a file of only 0/1/whitespace bytes is ascii."""
-    with open(path, "rb") as fh:
-        head = fh.read(4096)
+def sniff_encoding(payload: bytes) -> str:
+    """Best-effort guess: a payload whose first 4096 bytes are 0/1/whitespace is ascii."""
+    head = payload[:4096]
     if head and all(c in b"01 \t\r\n" for c in head):
         return ASCII
     return PACKED

@@ -124,53 +124,58 @@ def _build_stages(args) -> PipelineSpec:
         if kind == "rejection":
             built.append(RejectionStage())
         elif kind == "lfsr":
-            built.append(
-                LfsrStage(_parse_taps(value), seed=args.lfsr_seed, injection=args.injection)
-            )
+            spec = _parse_taps(value)
+            try:
+                built.append(LfsrStage(spec, seed=args.lfsr_seed, injection=args.injection))
+            except ValueError as exc:
+                raise UsageError(f"--lfsr-seed: {exc}") from None
         else:
             built.append(EccStage(_parse_code(value)))
     return PipelineSpec(tuple(built))
 
 
-def _verified_manifest(path: str):
-    """The sidecar manifest of path, refused when it describes other bytes."""
-    manifest = bitio.manifest_for_file(path)
-    if manifest is not None:
+def _read_input(args) -> tuple[np.ndarray, str, str]:
+    """The input's bits, its encoding and the SHA-256 of its bytes.
+
+    The file is read once; the digest is what the sidecar is checked
+    against and what the manifest of the result records as input_sha256.
+    """
+    path, encoding, bit_count = args.input, args.input_encoding, args.bits
+    if bit_count is not None and bit_count < 0:
+        raise UsageError("--bits must be a non-negative integer")
+    try:
         with open(path, "rb") as fh:
-            sha = bitio.sha256_hex(fh.read())
-        if sha != manifest.output_sha256:
+            payload = fh.read()
+    except OSError as exc:
+        raise CliIoError(f"cannot read {path}: {exc.strerror or exc}") from None
+    sha = bitio.sha256_hex(payload)
+    manifest = None
+    if encoding == "auto" or (encoding == bitio.PACKED and bit_count is None):
+        manifest = bitio.manifest_for_file(path)
+        if manifest is not None and manifest.output_sha256 != sha:
             raise CliIoError(
                 f"{path} does not match the output_sha256 of {bitio.manifest_path_for(path)}"
             )
-    return manifest
-
-
-def _read_input(args) -> tuple[np.ndarray, str]:
-    path = args.input
+    if encoding == "auto":
+        if manifest is not None and manifest.encoding in (bitio.PACKED, bitio.ASCII):
+            encoding = manifest.encoding
+        else:
+            encoding = bitio.sniff_encoding(payload)
+    if bit_count is None and manifest is not None and manifest.encoding == encoding:
+        bit_count = manifest.output_bits
     try:
-        encoding, bit_count = args.input_encoding, args.bits
-        manifest = None
-        if encoding == "auto" or (encoding == bitio.PACKED and bit_count is None):
-            manifest = _verified_manifest(path)
-        if encoding == "auto":
-            if manifest is not None and manifest.encoding in (bitio.PACKED, bitio.ASCII):
-                encoding = manifest.encoding
-            else:
-                encoding = bitio.sniff_encoding(path)
-        if bit_count is None and encoding == bitio.PACKED and manifest is not None:
-            bit_count = manifest.output_bits
-        bits = bitio.read_bit_file(path, encoding, bit_count, args.bit_order)
-    except OSError as exc:
-        raise CliIoError(f"cannot read {path}: {exc.strerror or exc}") from None
+        bits = bitio.decode_bits(payload, encoding, bit_count, args.bit_order)
     except ValueError as exc:
         raise CliIoError(f"cannot read {path}: {exc}") from None
-    return bits, encoding
+    return bits, encoding, sha
 
 
-def _write_output(args, argv, command, bits, params, input_info=None) -> None:
-    path = args.output
+def _write_artifact(path, payload: bytes, argv, command, params, *,
+                    bit_count=0, encoding="text", input_info=None) -> None:
+    """Write payload to path and its manifest next to it."""
     try:
-        payload = bitio.write_bit_file(path, bits, args.encoding, bitio.MSB_FIRST)
+        with open(path, "wb") as fh:
+            fh.write(payload)
     except OSError as exc:
         raise CliIoError(f"cannot write {path}: {exc.strerror or exc}") from None
     manifest = bitio.RunManifest(
@@ -179,8 +184,8 @@ def _write_output(args, argv, command, bits, params, input_info=None) -> None:
         params=params,
         output_path=path,
         output_sha256=bitio.sha256_hex(payload),
-        output_bits=int(bits.size),
-        encoding=args.encoding,
+        output_bits=bit_count,
+        encoding=encoding,
         input_path=input_info[0] if input_info else None,
         input_sha256=input_info[1] if input_info else None,
         tool_version=__version__,
@@ -188,63 +193,29 @@ def _write_output(args, argv, command, bits, params, input_info=None) -> None:
     bitio.write_manifest(manifest)
 
 
-def _write_text_artifact(path, argv, command, text, params, input_info=None) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise CliIoError(f"cannot write {path}: {exc.strerror or exc}") from None
-    manifest = bitio.RunManifest(
-        command=command,
-        argv=list(argv),
-        params=params,
-        output_path=path,
-        output_sha256=bitio.sha256_hex(text.encode("utf-8")),
-        output_bits=0,
-        encoding="text",
-        input_path=input_info[0] if input_info else None,
-        input_sha256=input_info[1] if input_info else None,
-        tool_version=__version__,
-    )
-    bitio.write_manifest(manifest)
-
-
-def _resolve_source(args, seed: int) -> tuple[SourceConfig, dict]:
-    """Build a SourceConfig from generate-style flags; returns (config, params)."""
-    chosen = [
-        name
-        for name, val in (
-            ("preset", args.preset),
-            ("bernoulli", args.bernoulli),
-            ("markov", args.markov),
-            ("current", args.current),
-        )
-        if val is not None
-    ]
-    if len(chosen) != 1:
-        raise UsageError("choose exactly one source: --preset, --bernoulli, --markov or --current")
-    kind = chosen[0]
+def _resolve_source(kind: str, value: str, args, seed: int) -> tuple[SourceConfig, dict]:
+    """Build a SourceConfig from a source (kind, value); returns (config, params)."""
     if kind == "preset":
-        if args.preset not in PRESETS:
-            raise UsageError(f"unknown preset {args.preset!r}; available: {', '.join(sorted(PRESETS))}")
-        p, t_write = PRESETS[args.preset]
+        if value not in PRESETS:
+            raise UsageError(f"unknown preset {value!r}; available: {', '.join(sorted(PRESETS))}")
+        p, t_write = PRESETS[value]
         model = _load_model(args.model_config, t_write)
         current = calibrate_current(model, target=p, tol=1e-12)
         cfg = SourceConfig("mtj", seed, args.bits, model=model, current_ua=current)
-        params = {"source": f"preset:{args.preset}", "p": p, "t_write_ns": t_write,
+        params = {"source": f"preset:{value}", "p": p, "t_write_ns": t_write,
                   "current_ua": current, "seed": seed}
         return cfg, params
     if kind == "bernoulli":
-        p = _parse_prob(args.bernoulli, "--bernoulli")
+        p = _parse_prob(value, kind)
         return (
             SourceConfig("bernoulli", seed, args.bits, p=p),
             {"source": f"bernoulli:{p:g}", "seed": seed},
         )
     if kind == "markov":
-        parts = args.markov.split(",")
+        parts = value.split(",")
         if len(parts) != 2:
-            raise UsageError("--markov expects P,RHO")
-        p = _parse_prob(parts[0], "--markov")
+            raise UsageError("markov source expects P,RHO")
+        p = _parse_prob(parts[0], kind)
         try:
             rho = float(parts[1])
         except ValueError:
@@ -258,21 +229,21 @@ def _resolve_source(args, seed: int) -> tuple[SourceConfig, dict]:
         return cfg, {"source": f"markov:{p:g},{rho:g}", "seed": seed}
     # explicit operating current through the switching model
     try:
-        current = float(args.current)
+        current = float(value)
     except ValueError:
-        raise UsageError(f"bad current {args.current!r}") from None
+        raise UsageError(f"bad current {value!r}") from None
     model = _load_model(args.model_config, args.t_write)
     cfg = SourceConfig("mtj", seed, args.bits, model=model, current_ua=current)
     return cfg, {"source": f"mtj:{current:g}uA", "t_write_ns": args.t_write, "seed": seed}
 
 
-def _parse_prob(text: str, flag: str) -> float:
+def _parse_prob(text: str, kind: str) -> float:
     try:
         p = float(text)
     except ValueError:
-        raise UsageError(f"{flag}: bad probability {text!r}") from None
+        raise UsageError(f"{kind} source: bad probability {text!r}") from None
     if not 0.0 <= p <= 1.0:
-        raise UsageError(f"{flag}: probability must lie in [0, 1], got {p}")
+        raise UsageError(f"{kind} source: probability must lie in [0, 1], got {p}")
     return p
 
 
@@ -292,11 +263,24 @@ def _load_model(config_path, t_write):
 def cmd_generate(args, argv) -> int:
     if args.bits is None or args.bits < 0:
         raise UsageError("--bits must be a non-negative integer")
+    chosen = [
+        (kind, value)
+        for kind, value in (
+            ("preset", args.preset),
+            ("bernoulli", args.bernoulli),
+            ("markov", args.markov),
+            ("current", args.current),
+        )
+        if value is not None
+    ]
+    if len(chosen) != 1:
+        raise UsageError("choose exactly one source: --preset, --bernoulli, --markov or --current")
     seed, argv = _resolve_seed(args, argv)
-    cfg, params = _resolve_source(args, seed)
+    cfg, params = _resolve_source(*chosen[0], args, seed)
     bits = generate_stream(cfg)
     params["bits"] = int(bits.size)
-    _write_output(args, argv, "generate", bits, params)
+    _write_artifact(args.output, bitio.encode_bits(bits, args.encoding), argv, "generate",
+                    params, bit_count=int(bits.size), encoding=args.encoding)
     ones = float(bits.mean()) if bits.size else 0.0
     print(f"generate: wrote {bits.size} bits to {args.output} (ones fraction {ones:.4f})")
     return 0
@@ -304,8 +288,7 @@ def cmd_generate(args, argv) -> int:
 
 def cmd_postprocess(args, argv) -> int:
     pipeline = _build_stages(args)
-    bits, in_encoding = _read_input(args)
-    in_sha = bitio.sha256_hex(bitio.pack_bits(bits))
+    bits, in_encoding, in_sha = _read_input(args)
     out = run_pipeline(pipeline, bits)
     labels = [s.label for s in pipeline.stages]
     params = {
@@ -315,7 +298,9 @@ def cmd_postprocess(args, argv) -> int:
         "input_encoding": in_encoding,
         "input_bits": int(bits.size),
     }
-    _write_output(args, argv, "postprocess", out, params, (args.input, in_sha))
+    _write_artifact(args.output, bitio.encode_bits(out, args.encoding), argv, "postprocess",
+                    params, bit_count=int(out.size), encoding=args.encoding,
+                    input_info=(args.input, in_sha))
     chain = " -> ".join(labels)
     print(f"postprocess: {bits.size} bits -> {out.size} bits via {chain}; wrote {args.output}")
     return 0
@@ -326,7 +311,7 @@ def cmd_test(args, argv) -> int:
         raise UsageError(f"--alpha must lie in (0, 1), got {args.alpha}")
     if args.fail_threshold < 0:
         raise UsageError("--fail-threshold must be >= 0")
-    bits, _ = _read_input(args)
+    bits, _, in_sha = _read_input(args)
     if bits.size < stats.BATTERY_MIN_BITS and not args.allow_short:
         raise UsageError(
             f"input has {bits.size} bits; the battery wants at least "
@@ -346,13 +331,11 @@ def cmd_test(args, argv) -> int:
         raise UsageError(str(exc)) from None
     text = stats.render_report(report)
     sys.stdout.write(text)
-    report_path = args.report or (args.input + ".report")
-    in_sha = bitio.sha256_hex(bitio.pack_bits(bits))
-    _write_text_artifact(
-        report_path,
+    _write_artifact(
+        args.report or (args.input + ".report"),
+        text.encode("utf-8"),
         argv,
         "test",
-        text,
         {
             "alpha": args.alpha,
             "fail_threshold": args.fail_threshold,
@@ -360,7 +343,7 @@ def cmd_test(args, argv) -> int:
             "pattern_length": args.pattern_length,
             "input_bits": int(bits.size),
         },
-        (args.input, in_sha),
+        input_info=(args.input, in_sha),
     )
     return 0 if report.passed else 3
 
@@ -395,11 +378,11 @@ def cmd_calibrate(args, argv) -> int:
     )
     sys.stdout.write(text)
     if args.output:
-        _write_text_artifact(
+        _write_artifact(
             args.output,
+            text.encode("utf-8"),
             argv,
             "calibrate",
-            text,
             {"t_write_ns": model.t_write_ns, "target": args.target, "mode": mode},
         )
     return 0
@@ -423,53 +406,35 @@ def cmd_speed_estimate(args, argv) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.output:
-        _write_text_artifact(
+        _write_artifact(
             args.output,
+            text.encode("utf-8"),
             argv,
             "speed",
-            text,
             {"read_ns": args.read_ns, "clocks_per_bit": args.clocks_per_bit, "mhz": mhz},
         )
     return 0
 
 
-def _bench_source_config(args, seed: int) -> tuple[SourceConfig, str]:
-    spec = args.source
-    if spec in PRESETS:
-        p, t_write = PRESETS[spec]
-        model = _load_model(args.model_config, t_write)
-        current = calibrate_current(model, target=p, tol=1e-12)
-        return SourceConfig("mtj", seed, args.bits, model=model, current_ua=current), f"preset:{spec}"
-    kind, _, rest = spec.partition(":")
-    if kind == "bernoulli" and rest:
-        return SourceConfig("bernoulli", seed, args.bits, p=_parse_prob(rest, "--source")), spec
-    if kind == "markov" and rest:
-        parts = rest.split(",")
-        if len(parts) == 2:
-            p = _parse_prob(parts[0], "--source")
-            try:
-                rho = float(parts[1])
-            except ValueError:
-                raise UsageError(f"--source: bad autocorrelation {parts[1]!r}") from None
-            return SourceConfig("markov", seed, args.bits, p=p, rho=rho), spec
-    raise UsageError(
-        f"bad --source {spec!r}; use a preset name, bernoulli:P or markov:P,RHO"
-    )
-
-
 def cmd_bench(args, argv) -> int:
     if args.bits < 1:
         raise UsageError("--bits must be >= 1")
-    seed, argv = _resolve_seed(args, argv)
-    cfg, source_label = _bench_source_config(args, seed)
-    if getattr(args, "stages", None):
-        pipeline = _build_stages(args)
+    if args.source in PRESETS:
+        kind, value = "preset", args.source
     else:
+        kind, _, value = args.source.partition(":")
+        if kind not in ("bernoulli", "markov") or not value:
+            raise UsageError(
+                f"bad --source {args.source!r}; use a preset name, bernoulli:P or markov:P,RHO"
+            )
+    seed, argv = _resolve_seed(args, argv)
+    cfg, params = _resolve_source(kind, value, args, seed)
+    source_label = params["source"]
+    if not getattr(args, "stages", None):
         # documented default composition: whitening register into the strongest
         # mid-length compressor
-        pipeline = PipelineSpec(
-            (LfsrStage(LfsrSpec((3, 1, 0)), seed=args.lfsr_seed), EccStage(lookup_code(31, 16, 3)))
-        )
+        args.stages = [("lfsr", "3,1,0"), ("ecc", "31,16,3")]
+    pipeline = _build_stages(args)
 
     lines = ["bench_version 1", f"source {source_label} seed={seed} bits={args.bits}"]
     t0 = time.perf_counter()
@@ -519,9 +484,9 @@ def cmd_bench(args, argv) -> int:
         print("bench: compressor routes disagreed", file=sys.stderr)
         return 1
     if args.output:
-        _write_text_artifact(
-            args.output, argv, "bench",
-            text, {"source": source_label, "seed": seed, "bits": args.bits},
+        _write_artifact(
+            args.output, text.encode("utf-8"), argv, "bench",
+            {"source": source_label, "seed": seed, "bits": args.bits},
         )
     return 0
 
@@ -530,7 +495,7 @@ def _add_input_flags(p: _Parser) -> None:
     p.add_argument("input", help="input bit file")
     p.add_argument("--input-encoding", choices=["auto", bitio.PACKED, bitio.ASCII], default="auto")
     p.add_argument("--bits", type=int, default=None,
-                   help="bit count of a packed input (default: sidecar manifest, else 8x file size)")
+                   help="read only the first N bits (default: the sidecar's count, else the whole file)")
     p.add_argument("--bit-order", choices=[bitio.MSB_FIRST, bitio.LSB_FIRST], default=bitio.MSB_FIRST,
                    help="bit order inside packed input bytes (default msb)")
 

@@ -28,6 +28,8 @@ def _gf2_divmod(a: int, m: int) -> tuple[int, int]:
     a, m : int
         Coefficient masks; m must be nonzero.
     """
+    if m == 0:
+        raise ValueError("division by the zero polynomial")
     dm = m.bit_length() - 1
     q = 0
     while a.bit_length() - 1 >= dm and a:
@@ -120,11 +122,15 @@ def poly_weight(p: Gf2Poly) -> int:
 def as_bit_array(bits) -> np.ndarray:
     """Normalize a bit sequence (iterable / text / ndarray) to a uint8 array of 0/1."""
     if isinstance(bits, str):
-        bits = [c for c in bits if not c.isspace()]
-        if any(c not in "01" for c in bits):
-            raise ValueError("bit string may contain only 0, 1 and whitespace")
-        a = np.array([ord(c) - ord("0") for c in bits], dtype=np.uint8)
-        return a
+        codes = np.frombuffer(bits.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        is_digit = (codes == ord("0")) | (codes == ord("1"))
+        if not is_digit.all():
+            # whitespace is whatever str.isspace accepts; only the distinct
+            # other characters are checked one by one
+            if not all(chr(c).isspace() for c in np.unique(codes[~is_digit]).tolist()):
+                raise ValueError("bit string may contain only 0, 1 and whitespace")
+            codes = codes[is_digit]
+        return (codes - ord("0")).astype(np.uint8)
     a = np.asarray(bits)
     if a.dtype != np.uint8:
         a = a.astype(np.uint8)

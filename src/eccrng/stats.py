@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erfc, gammaincc, ndtr
 
+from .gf2 import as_bit_array
+
 __all__ = [
     "EmptyBatteryError",
     "TestResult",
@@ -68,15 +70,9 @@ def _skip(name: str, reason: str, params: dict | None = None) -> TestResult:
     return TestResult(name, (), None, params or {}, reason)
 
 
-def _as_bits(bits) -> np.ndarray:
-    from .gf2 import as_bit_array
-
-    return as_bit_array(bits)
-
-
 def monobit_test(bits, alpha: float = DEFAULT_ALPHA, min_length: int = 100) -> TestResult:
     """Overall balance of ones and zeros: P = erfc(|S| / sqrt(2n))."""
-    b = _as_bits(bits)
+    b = as_bit_array(bits)
     n = b.size
     if n < min_length:
         return _skip("monobit", f"need at least {min_length} bits, got {n}")
@@ -94,7 +90,7 @@ def block_frequency_test(
     """Per-block balance: chi^2 of block ones-fractions against 1/2."""
     if block_size < 1:
         raise ValueError(f"block size must be >= 1, got {block_size}")
-    b = _as_bits(bits)
+    b = as_bit_array(bits)
     n = b.size
     params = {"block_size": block_size}
     if n < min_length:
@@ -114,7 +110,7 @@ def runs_test(bits, alpha: float = DEFAULT_ALPHA, min_length: int = 100) -> Test
     Applicable only when the ones-fraction is within 2/sqrt(n) of 1/2;
     outside that band the result is a fail with P = 0.
     """
-    b = _as_bits(bits)
+    b = as_bit_array(bits)
     n = b.size
     if n < min_length:
         return _skip("runs", f"need at least {min_length} bits, got {n}")
@@ -151,7 +147,7 @@ def _longest_run_per_block(blocks: np.ndarray) -> np.ndarray:
 
 def longest_run_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
     """Distribution of the longest run of ones inside fixed-size blocks."""
-    b = _as_bits(bits)
+    b = as_bit_array(bits)
     n = b.size
     for min_n, block_size, edges, probs in _LONGEST_RUN_TABLES:
         if n >= min_n:
@@ -174,7 +170,7 @@ def cumulative_sums_test(
     bits, alpha: float = DEFAULT_ALPHA, reverse: bool = False, min_length: int = 100
 ) -> TestResult:
     """Maximum excursion of the +/-1 random walk (forward or backward)."""
-    b = _as_bits(bits)
+    b = as_bit_array(bits)
     n = b.size
     name = "cumulative_sums_backward" if reverse else "cumulative_sums_forward"
     if n < min_length:
@@ -222,7 +218,7 @@ def serial_test(
     m = pattern_length
     if m < 2:
         raise ValueError(f"pattern length must be >= 2, got {m}")
-    b = _as_bits(bits)
+    b = as_bit_array(bits)
     n = b.size
     params = {"pattern_length": m}
     if n < max(min_length, 1 << (m + 1)):
@@ -248,7 +244,7 @@ def approximate_entropy_test(
     m = pattern_length
     if m < 1:
         raise ValueError(f"pattern length must be >= 1, got {m}")
-    b = _as_bits(bits)
+    b = as_bit_array(bits)
     n = b.size
     params = {"pattern_length": m}
     if n < max(min_length, 1 << (m + 2)):
@@ -271,7 +267,7 @@ def approximate_entropy_test(
 
 def spectral_test(bits, alpha: float = DEFAULT_ALPHA, min_length: int = 1000) -> TestResult:
     """DFT peak count below the 95% threshold versus its expectation."""
-    b = _as_bits(bits)
+    b = as_bit_array(bits)
     n = b.size
     if n < min_length:
         return _skip("spectral", f"need at least {min_length} bits, got {n}")
@@ -316,7 +312,7 @@ def run_battery(
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if fail_threshold < 0:
         raise ValueError(f"fail threshold must be >= 0, got {fail_threshold}")
-    b = _as_bits(bits)
+    b = as_bit_array(bits)
     results = [
         monobit_test(b, alpha),
         block_frequency_test(b, alpha, block_size=block_size),

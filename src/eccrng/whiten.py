@@ -178,6 +178,9 @@ class LfsrStage:
     seed: int = 1
     injection: str = DEFAULT_INJECTION
 
+    def __post_init__(self):
+        _check_seed(self.spec, self.seed)
+
     @property
     def label(self) -> str:
         return "lfsr(%s)" % ",".join(str(t) for t in self.spec.taps)

@@ -77,6 +77,10 @@ def test_ascii_files_wrap_and_ignore_whitespace(tmp_path):
     loose = tmp_path / "loose.txt"
     loose.write_text("01 01\n10\t1\n")
     assert read_bit_file(str(loose), ASCII).tolist() == [0, 1, 0, 1, 1, 0, 1]
+    # a bit count takes a prefix, as it does for packed files
+    assert read_bit_file(str(loose), ASCII, 3).tolist() == [0, 1, 0]
+    with pytest.raises(ValueError):
+        read_bit_file(str(loose), ASCII, 8)
 
 
 def test_ascii_rejects_binary_payload(tmp_path):
@@ -86,13 +90,10 @@ def test_ascii_rejects_binary_payload(tmp_path):
         read_bit_file(str(path), ASCII)
 
 
-def test_sniff_encoding(tmp_path):
-    a = tmp_path / "a.txt"
-    a.write_text("0101\n0011\n")
-    assert sniff_encoding(str(a)) == ASCII
-    b = tmp_path / "b.bits"
-    b.write_bytes(b"\x9c\x22\x01")
-    assert sniff_encoding(str(b)) == PACKED
+def test_sniff_encoding():
+    assert sniff_encoding(b"0101\n0011\n") == ASCII
+    assert sniff_encoding(b"\x9c\x22\x01") == PACKED
+    assert sniff_encoding(b"") == PACKED
 
 
 def test_manifest_round_trip(tmp_path):

@@ -223,6 +223,67 @@ def test_bench_rejects_bad_source():
     assert run("bench", "--bits", "100", "--source", "quantum:1") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["bench", "--bits", "100", "--source", "markov:0.9,-0.5"], 1),
+        (["bench", "--bits", "100", "--source", "bernoulli:2"], 1),
+        (["bench", "--bits", "100", "--lfsr-seed", "99"], 1),
+        (["bench", "--bits", "100", "--lfsr", "3,1,0", "--lfsr-seed", "99"], 1),
+        (["postprocess", "{ascii}", "--lfsr", "3,1,0", "--lfsr-seed", "99",
+          "--output", "{out}"], 1),
+        (["postprocess", "{ascii}", "--rejection", "--bits", "-1", "--output", "{out}"], 1),
+        (["postprocess", "{ascii}", "--rejection", "--input-encoding", "ascii",
+          "--bits", "2001", "--output", "{out}"], 2),
+        (["postprocess", "{ascii}", "--rejection", "--bits", "2001", "--output", "{out}"], 2),
+        (["test", "{ascii}", "--allow-short", "--bits", "5000"], 2),
+        (["postprocess", "{packed}", "--rejection", "--input-encoding", "ascii",
+          "--output", "{out}"], 2),
+    ],
+)
+def test_bad_argv_is_an_error_not_a_traceback(tmp_path, capsys, argv, code):
+    paths = {"ascii": tmp_path / "a.txt", "packed": tmp_path / "p.bits", "out": tmp_path / "o"}
+    assert run("generate", "--bernoulli", "0.5", "--bits", "2000", "--seed", "4",
+               "--encoding", "ascii", "--output", str(paths["ascii"])) == 0
+    paths["packed"].write_bytes(b"\x9c\x22\x01")
+    capsys.readouterr()
+    # an exception escaping main is the traceback the entry point would print
+    assert run(*(a.format(**paths) for a in argv)) == code
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_input_digest_and_bit_count_follow_the_file(tmp_path):
+    for encoding in ("packed", "ascii"):
+        capture = tmp_path / f"cap-{encoding}"
+        assert run("generate", "--bernoulli", "0.5", "--bits", "2000", "--seed", "4",
+                   "--encoding", encoding, "--output", str(capture)) == 0
+        produced = load_manifest(manifest_path_for(str(capture))).output_sha256
+        out = tmp_path / f"out-{encoding}"
+        assert run("postprocess", str(capture), "--rejection", "--output", str(out)) == 0
+        assert load_manifest(manifest_path_for(str(out))).input_sha256 == produced
+        report = tmp_path / f"rep-{encoding}"
+        assert run("test", str(capture), "--allow-short", "--report", str(report)) in (0, 3)
+        assert load_manifest(manifest_path_for(str(report))).input_sha256 == produced
+
+    ascii_capture = str(tmp_path / "cap-ascii")
+    out = str(tmp_path / "prefix")
+    whole = str(tmp_path / "whole")
+    # --bits takes a prefix of an ascii file, as it does of a packed one
+    assert run("postprocess", ascii_capture, "--lfsr", "3,1,0", "--input-encoding", "ascii",
+               "--bits", "100", "--output", out) == 0
+    assert run("postprocess", ascii_capture, "--lfsr", "3,1,0", "--output", whole) == 0
+    assert load_manifest(manifest_path_for(out)).params["input_bits"] == 100
+    assert np.array_equal(read_bit_file(out, bit_count=100),
+                          read_bit_file(whole, bit_count=2000)[:100])
+    # the sidecar's bit count describes the ascii reading, not a packed one
+    assert run("postprocess", ascii_capture, "--rejection", "--input-encoding", "packed",
+               "--output", out) == 0
+    payload_bits = 8 * (tmp_path / "cap-ascii").stat().st_size
+    assert load_manifest(manifest_path_for(out)).params["input_bits"] == payload_bits
+
+
 def test_manifest_replay_reproduces_bytes(tmp_path, monkeypatch):
     # the seed comes from --seed, or from the environment, which the replay lacks
     for name, seed_args, env_seed in (("flag", ["--seed", "5"], None), ("env", [], "5")):

@@ -74,6 +74,13 @@ def test_registry_generator_divides_cycle_polynomial():
         assert quotient.bit_length() - 1 == code.k  # deg(x^n + 1) - deg(g)
 
 
+def test_divmod_rejects_zero_modulus():
+    # a zero dividend first: with a nonzero one the unchecked division never returns
+    for a in (0, 5):
+        with pytest.raises(ValueError):
+            _gf2_divmod(a, 0)
+
+
 def test_registry_generator_weight_is_odd():
     # odd parity-tap count keeps the compressed bias law sign-preserving
     for code in code_registry():
@@ -84,11 +91,16 @@ def test_as_bit_array_accepts_text_and_whitespace():
     got = as_bit_array("01 10\n1")
     assert got.tolist() == [0, 1, 1, 0, 1]
     assert got.dtype == np.uint8
+    # whitespace is exactly what str.isspace accepts, ASCII or not
+    assert as_bit_array("0\x0b1\x1c0").tolist() == [0, 1, 0]
+    assert as_bit_array("1\u30000").tolist() == [1, 0]
 
 
 def test_as_bit_array_rejects_non_binary():
     with pytest.raises(ValueError):
         as_bit_array("01012")
+    with pytest.raises(ValueError):
+        as_bit_array("0\u00e91")
     with pytest.raises(ValueError):
         as_bit_array(np.array([0, 1, 2], dtype=np.uint8))
     with pytest.raises(ValueError):
