@@ -11,6 +11,7 @@ Exit codes: 0 success (and battery Pass), 1 usage error, 2 I/O error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -91,9 +92,13 @@ def _resolve_seed(args, argv: list[str]) -> tuple[int, list[str]]:
     environment is added to it; the replay then needs no environment.
     """
     if args.seed is not None:
-        return args.seed, argv
-    seed = _default_seed()
-    return seed, [*argv, "--seed", str(seed)]
+        seed, origin = args.seed, "--seed"
+    else:
+        seed, origin = _default_seed(), SEED_ENV_VAR
+        argv = [*argv, "--seed", str(seed)]
+    if seed < 0:
+        raise UsageError(f"{origin} must be a non-negative integer, got {seed}")
+    return seed, argv
 
 
 def _parse_taps(text: str) -> LfsrSpec:
@@ -389,8 +394,8 @@ def cmd_calibrate(args, argv) -> int:
 
 
 def cmd_speed_estimate(args, argv) -> int:
-    if args.read_ns <= 0:
-        raise UsageError(f"--read-ns must be positive, got {args.read_ns}")
+    if not (math.isfinite(args.read_ns) and args.read_ns > 0):
+        raise UsageError(f"--read-ns must be positive and finite, got {args.read_ns}")
     if args.clocks_per_bit < 1:
         raise UsageError(f"--clocks-per-bit must be >= 1, got {args.clocks_per_bit}")
     mhz = 1000.0 / (args.read_ns * args.clocks_per_bit)

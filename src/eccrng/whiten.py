@@ -116,28 +116,53 @@ def lfsr_whiten(spec: LfsrSpec, seed: int, bits, injection: str = DEFAULT_INJECT
     in feedback injection the vacated cell is loaded with feedback XOR input
     and the expelled cell is the output; in output-xor injection the register
     free-runs and the output is the expelled cell XOR the input bit.
+
+    Computed in closed form rather than step by step.  With s_t the bit
+    loaded into cell 1 at step t, the expelled bit is s_(t-N), and over GF(2)
+    the loaded stream is s = w / (1 + a(z)) with a(z) the sum of z^j over
+    the cell taps.  w is the input preceded by N pseudo-input bits that
+    reproduce the preload.  Since (1 + a)^(2^i) = 1 + a(z^(2^i)), dividing
+    by 1 + a is multiplying by the product of 1 + a(z^(2^i)), and each factor
+    is one round of shifted XORs over the whole array.
     """
     if injection not in (FEEDBACK_INJECTION, OUTPUT_XOR_INJECTION):
         raise ValueError(f"unknown injection mode {injection!r}")
     b = as_bit_array(bits)
     width = spec.width
     state = _check_seed(spec, seed)
-    fbmask = spec.feedback_mask
-    statemask = (1 << width) - 1
-    oldest = width - 1
-    out = np.empty(b.size, dtype=np.uint8)
-    feedback_mode = injection == FEEDBACK_INJECTION
-    seq = b.tolist()
-    for i, bit in enumerate(seq):
-        fb = (state & fbmask).bit_count() & 1
-        expelled = (state >> oldest) & 1
-        if feedback_mode:
-            out[i] = expelled
-            state = ((state << 1) | (fb ^ bit)) & statemask
-        else:
-            out[i] = expelled ^ bit
-            state = ((state << 1) | fb) & statemask
-    return out
+    cell_taps = [t for t in spec.taps if t > 0]
+    n = b.size
+
+    # preload as s_(-N) .. s_(-1), oldest cell first, then its pseudo-input
+    # preload * (1 + a) mod z^N
+    raw = np.frombuffer(state.to_bytes((width + 7) // 8, "big"), dtype=np.uint8)
+    preload = np.unpackbits(raw)[-width:]
+    pseudo = preload.copy()
+    for t in cell_taps:
+        if t < width:
+            pseudo[t:] ^= preload[: width - t]
+
+    # u[k] becomes s_(k-N), so output bit t is u[t]; the last N input bits
+    # are loaded but never expelled
+    u = np.zeros(n, dtype=np.uint8)
+    head = min(width, n)
+    u[:head] = pseudo[:head]
+    if injection == FEEDBACK_INJECTION:
+        u[head:] = b[: n - head]
+    v = np.empty_like(u)
+    shift = 1
+    while shift * cell_taps[-1] < n:
+        # every shift reads the previous round's u, never a partial update
+        np.copyto(v, u)
+        for t in cell_taps:
+            d = t * shift
+            if d < n:
+                v[d:] ^= u[: n - d]
+        u, v = v, u
+        shift *= 2
+    if injection == OUTPUT_XOR_INJECTION:
+        u ^= b
+    return u
 
 
 def lfsr_free_run_period(spec: LfsrSpec, seed: int) -> int:

@@ -239,19 +239,38 @@ def test_bench_rejects_bad_source():
         (["test", "{ascii}", "--allow-short", "--bits", "5000"], 2),
         (["postprocess", "{packed}", "--rejection", "--input-encoding", "ascii",
           "--output", "{out}"], 2),
+        (["generate", "--bernoulli", "0.5", "--bits", "10", "--seed", "-1",
+          "--output", "{out}"], 1),
+        (["bench", "--bits", "1000", "--seed", "-1"], 1),
+        (["ECCRNG_SEED=-3", "generate", "--bernoulli", "0.5", "--bits", "10",
+          "--output", "{out}"], 1),
+        (["calibrate", "--empirical", "--seed", "-2"], 1),
+        (["speed", "--read-ns", "nan"], 1),
+        (["speed", "--read-ns", "inf"], 1),
     ],
 )
-def test_bad_argv_is_an_error_not_a_traceback(tmp_path, capsys, argv, code):
+def test_bad_argv_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, argv, code):
     paths = {"ascii": tmp_path / "a.txt", "packed": tmp_path / "p.bits", "out": tmp_path / "o"}
     assert run("generate", "--bernoulli", "0.5", "--bits", "2000", "--seed", "4",
                "--encoding", "ascii", "--output", str(paths["ascii"])) == 0
     paths["packed"].write_bytes(b"\x9c\x22\x01")
     capsys.readouterr()
+    # leading NAME=value words set the environment, as in a shell
+    env_names = []
+    while "=" in argv[0]:
+        name, _, value = argv[0].partition("=")
+        monkeypatch.setenv(name, value)
+        env_names.append(name)
+        argv = argv[1:]
     # an exception escaping main is the traceback the entry point would print
     assert run(*(a.format(**paths) for a in argv)) == code
     err = capsys.readouterr().err
     assert "error:" in err
     assert "Traceback" not in err
+    # a rejected seed is named by where it came from
+    for origin in ("--seed", "ECCRNG_SEED"):
+        if origin in argv or origin in env_names:
+            assert origin in err
 
 
 def test_input_digest_and_bit_count_follow_the_file(tmp_path):

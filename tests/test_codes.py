@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eccrng.codes import (
+    _field_for,
     bch_decode,
     bch_encode,
     code_registry,
@@ -34,6 +35,19 @@ EXPECTED_TABLE = [
 def test_registry_contents():
     reg = code_registry()
     assert [(c.n, c.k, c.t, c.generator_octal) for c in reg] == EXPECTED_TABLE
+
+
+def test_generators_meet_the_bch_bound():
+    # a t-error-correcting BCH generator has alpha^1 .. alpha^2t among its
+    # roots; checked in the field tables, independently of the decoder
+    for code in code_registry():
+        field = _field_for(code.n)
+        support = [i for i, c in enumerate(code.generator.coefficients) if c]
+        for j in range(1, 2 * code.t + 1):
+            value = 0
+            for i in support:
+                value ^= int(field.exp[(i * j) % field.size])
+            assert value == 0, (str(code), j)
 
 
 def test_lookup_miss_lists_what_exists():

@@ -1,5 +1,7 @@
 """Von Neumann rejection, LFSR whitening, pipeline composition."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,43 @@ from eccrng.whiten import (
     lfsr_whiten,
     run_pipeline,
     von_neumann,
+)
+
+
+def serial_lfsr_whiten(spec, seed, bits, injection=FEEDBACK_INJECTION):
+    """Reference oracle: the register stepped one input bit at a time.
+
+    seed bit j-1 preloads cell j, which is bit j-1 of the state integer.
+    Each step expels cell N; feedback injection loads feedback XOR input
+    into cell 1, output-xor injection loads the feedback and XORs the input
+    into the expelled bit.
+    """
+    state = seed
+    fbmask = spec.feedback_mask
+    statemask = (1 << spec.width) - 1
+    oldest = spec.width - 1
+    out = []
+    for bit in np.asarray(bits).tolist():
+        fb = (state & fbmask).bit_count() & 1
+        expelled = (state >> oldest) & 1
+        if injection == FEEDBACK_INJECTION:
+            out.append(expelled)
+            state = ((state << 1) | (fb ^ bit)) & statemask
+        else:
+            out.append(expelled ^ bit)
+            state = ((state << 1) | fb) & statemask
+    return np.array(out, dtype=np.uint8)
+
+
+# shipped sets, two- and four-tap registers, a smallest cell tap above 1,
+# a register wider than a machine word and a 1000-cell one whose smallest
+# cell tap is 37
+ORACLE_TAP_SETS = SHIPPED_TAP_SETS + (
+    (5, 3, 0),
+    (7, 6, 5, 4, 0),
+    (9, 4, 0),
+    (70, 1, 0),
+    (1000, 613, 37, 0),
 )
 
 
@@ -113,6 +152,62 @@ def test_whitening_preserves_length():
     bits = bernoulli_stream(0.7, 6, 501)
     for mode in (FEEDBACK_INJECTION, OUTPUT_XOR_INJECTION):
         assert lfsr_whiten(spec, 17, bits, mode).size == 501
+
+
+@pytest.mark.parametrize("taps", ORACLE_TAP_SETS, ids=str)
+def test_whitening_matches_serial_oracle(taps):
+    spec = LfsrSpec(taps)
+    width = spec.width
+    rng = random.Random(repr(taps))
+    seeds = (0, 1, (1 << width) - 1, rng.getrandbits(width))
+    lengths = {0, 1, width - 1, width, width + 1, 63, 64, 65, 1023, 1025, 4095, 4097}
+    for seed in seeds:
+        for mode in (FEEDBACK_INJECTION, OUTPUT_XOR_INJECTION):
+            for length in sorted(lengths) + [rng.randrange(5001), rng.randrange(5001)]:
+                bits = np.frombuffer(rng.randbytes(length), dtype=np.uint8) & 1
+                got = lfsr_whiten(spec, seed, bits, mode)
+                assert got.dtype == np.uint8 and got.size == length
+                assert np.array_equal(got, serial_lfsr_whiten(spec, seed, bits, mode)), (
+                    seed,
+                    mode,
+                    length,
+                )
+
+
+@pytest.mark.parametrize("mode", [FEEDBACK_INJECTION, OUTPUT_XOR_INJECTION])
+def test_whitening_matches_serial_oracle_on_a_long_stream(mode):
+    spec = LfsrSpec((7, 3, 0))
+    bits = bernoulli_stream(0.3, 15, 100_000)
+    assert np.array_equal(lfsr_whiten(spec, 77, bits, mode), serial_lfsr_whiten(spec, 77, bits, mode))
+
+
+def test_whitening_accepts_list_text_and_strided_input():
+    spec = LfsrSpec((4, 1, 0))
+    rng = np.random.default_rng(16)
+    wide = rng.integers(0, 2, 2 * 301, dtype=np.uint8)
+    before = wide.copy()
+    strided = wide[::2]
+    assert not strided.flags.c_contiguous
+    for mode in (FEEDBACK_INJECTION, OUTPUT_XOR_INJECTION):
+        expected = serial_lfsr_whiten(spec, 11, strided, mode)
+        text = "".join(map(str, strided.tolist()))
+        for bits in (strided, strided.tolist(), text):
+            assert np.array_equal(lfsr_whiten(spec, 11, bits, mode), expected)
+        # the input array is read, never written
+        assert np.array_equal(wide, before)
+
+
+@pytest.mark.parametrize("taps", [(3, 1, 0), (9, 4, 0), (70, 1, 0)], ids=str)
+def test_whitening_is_causal(taps):
+    # output bit t depends only on input bits up to t, so a prefix of the
+    # input whitens to the same prefix of the output
+    spec = LfsrSpec(taps)
+    rng = random.Random(17)
+    bits = np.frombuffer(rng.randbytes(3000), dtype=np.uint8) & 1
+    for mode in (FEEDBACK_INJECTION, OUTPUT_XOR_INJECTION):
+        full = lfsr_whiten(spec, 5, bits, mode)
+        for cut in (0, 1, spec.width, spec.width + 1, rng.randrange(3000), 2999):
+            assert np.array_equal(lfsr_whiten(spec, 5, bits[:cut], mode), full[:cut])
 
 
 @pytest.mark.parametrize("taps", SHIPPED_TAP_SETS, ids=str)
