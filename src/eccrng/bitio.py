@@ -60,8 +60,9 @@ def unpack_bits(payload: bytes, bit_count: int | None = None, bit_order: str = M
         raise ValueError(f"unknown bit order {bit_order!r}")
     if bit_count is None:
         bit_count = 8 * len(payload)
-    if bit_count > 8 * len(payload):
-        raise ValueError(f"bit count {bit_count} exceeds payload capacity {8 * len(payload)}")
+    # a negative count would make unpackbits drop bits off the end
+    if not 0 <= bit_count <= 8 * len(payload):
+        raise ValueError(f"bit count {bit_count} outside the payload's 0..{8 * len(payload)} bits")
     order = "big" if bit_order == MSB_FIRST else "little"
     raw = np.frombuffer(payload, dtype=np.uint8)
     return np.unpackbits(raw, count=bit_count, bitorder=order)
@@ -99,8 +100,8 @@ def decode_bits(
     bits = as_bit_array(text)
     if bit_count is None:
         return bits
-    if bit_count > bits.size:
-        raise ValueError(f"bit count {bit_count} exceeds the {bits.size} bits in the file")
+    if not 0 <= bit_count <= bits.size:
+        raise ValueError(f"bit count {bit_count} outside the 0..{bits.size} bits in the file")
     return bits[:bit_count]
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from . import bitio, stats
-from .codes import compress_stream_shiftreg, lookup_code
+from .codes import lookup_code
 from .source import (
     PRESETS,
     CalibrationError,
@@ -237,6 +237,8 @@ def _resolve_source(kind: str, value: str, args, seed: int) -> tuple[SourceConfi
         current = float(value)
     except ValueError:
         raise UsageError(f"bad current {value!r}") from None
+    if not math.isfinite(current):
+        raise UsageError(f"--current must be finite, got {value}")
     model = _load_model(args.model_config, args.t_write)
     cfg = SourceConfig("mtj", seed, args.bits, model=model, current_ua=current)
     return cfg, {"source": f"mtj:{current:g}uA", "t_write_ns": args.t_write, "seed": seed}
@@ -447,22 +449,11 @@ def cmd_bench(args, argv) -> int:
     gen_seconds = time.perf_counter() - t0
     timings = [("generate", gen_seconds, args.bits, bits.size)]
 
-    selfchecks = []
     cur = bits
     for stage in pipeline.stages:
-        label = stage.label
         t0 = time.perf_counter()
         out = stage.apply(cur)
-        seconds = time.perf_counter() - t0
-        timings.append((label, seconds, cur.size, out.size))
-        if isinstance(stage, EccStage):
-            # the bit-serial shift register is the reference the compressor
-            # must reproduce
-            t0 = time.perf_counter()
-            alt = compress_stream_shiftreg(stage.code, cur)
-            alt_seconds = time.perf_counter() - t0
-            match = bool(np.array_equal(out, alt))
-            selfchecks.append((label, match, seconds, alt_seconds, cur.size))
+        timings.append((stage.label, time.perf_counter() - t0, cur.size, out.size))
         cur = out
 
     total = sum(s for _, s, _, _ in timings)
@@ -473,21 +464,12 @@ def cmd_bench(args, argv) -> int:
             f"stage={label} seconds={seconds:.4f} bits_in={bits_in} bits_out={bits_out} "
             f"share={share:.1f}% mbit_s={rate:.2f}"
         )
-    for label, match, mat_s, alt_s, bits_in in selfchecks:
-        alt_rate = bits_in / alt_s / 1e6 if alt_s > 0 else float("inf")
-        lines.append(
-            f"selfcheck={label} routes_agree={'true' if match else 'false'} "
-            f"matrix_seconds={mat_s:.4f} shiftreg_seconds={alt_s:.4f} shiftreg_mbit_s={alt_rate:.2f}"
-        )
     lines.append(f"total_seconds {total:.4f}")
     end_rate = cur.size / total / 1e6 if total > 0 else float("inf")
     lines.append(f"output_bits {cur.size}")
     lines.append(f"throughput_mbit_s {end_rate:.3f}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    if any(not ok for _, ok, _, _, _ in selfchecks):
-        print("bench: compressor routes disagreed", file=sys.stderr)
-        return 1
     if args.output:
         _write_artifact(
             args.output, text.encode("utf-8"), argv, "bench",

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2 import Gf2Poly, _gf2_divmod, as_bit_array, poly_from_octal, poly_weight
+from .gf2 import _gf2_divmod, as_bit_array, poly_from_octal
 
 __all__ = [
     "BchCode",
@@ -30,7 +30,6 @@ __all__ = [
     "lookup_code",
     "compress_block",
     "compress_stream_matrix",
-    "compress_stream_shiftreg",
     "bch_encode",
     "bch_decode",
     "predicted_output_bias",
@@ -68,7 +67,7 @@ class BchCode:
     k: int
     t: int
     generator_octal: str
-    generator: Gf2Poly = field(init=False)
+    generator: int = field(init=False)
 
     def __post_init__(self):
         g = poly_from_octal(self.generator_octal)
@@ -76,9 +75,9 @@ class BchCode:
             raise ValueError(f"need 0 < k < n, got (n={self.n}, k={self.k})")
         if self.t < 1:
             raise ValueError(f"t must be >= 1, got {self.t}")
-        if g.degree != self.n - self.k:
+        if g.bit_length() - 1 != self.n - self.k:
             raise ValueError(
-                f"generator degree {g.degree} != n - k = {self.n - self.k} "
+                f"generator degree {g.bit_length() - 1} != n - k = {self.n - self.k} "
                 f"for ({self.n},{self.k},{self.t})"
             )
         object.__setattr__(self, "generator", g)
@@ -119,10 +118,6 @@ def lookup_code(n: int, k: int, t: int) -> BchCode:
     raise ValueError(f"unknown code ({n},{k},{t}); available: {known}")
 
 
-def _reversed_generator_mask(code: BchCode) -> int:
-    return code.generator.reciprocal().mask
-
-
 @lru_cache(maxsize=None)
 def _band_offsets(code: BchCode) -> tuple[int, ...]:
     """Columns d (relative to the row) where a matrix row holds a 1.
@@ -131,7 +126,7 @@ def _band_offsets(code: BchCode) -> tuple[int, ...]:
     G[i, i + d] is the coefficient of x^(n-k-d); d = 0 is always present.
     """
     deg = code.n - code.k
-    g = code.generator.mask
+    g = code.generator
     return tuple(d for d in range(deg + 1) if (g >> (deg - d)) & 1)
 
 
@@ -162,64 +157,29 @@ def compress_stream_matrix(code: BchCode, bits) -> np.ndarray:
     return z.reshape(-1)
 
 
-def compress_stream_shiftreg(code: BchCode, bits) -> np.ndarray:
-    """Bit-serial compression through a tapped shift register.
-
-    Hardware view of the same banded matrix: raw bits enter a register of
-    n-k+1 cells whose taps sit at the generator's nonzero coefficients.
-    After the register is primed with n-k bits of a block, every further
-    shift emits one output bit (k per block), then the next block starts
-    over.  Must agree bit-for-bit with compress_stream_matrix.
-    """
-    y = as_bit_array(bits)
-    n, k = code.n, code.k
-    deg = n - k
-    taps = code.generator.mask
-    regmask = (1 << (deg + 1)) - 1
-    nblocks = y.size // n
-    out = np.empty(nblocks * k, dtype=np.uint8)
-    seq = y[: nblocks * n].tolist()
-    w = 0
-    for start in range(0, nblocks * n, n):
-        reg = 0
-        for j in range(n):
-            reg = ((reg << 1) | seq[start + j]) & regmask
-            if j >= deg:
-                out[w] = (reg & taps).bit_count() & 1
-                w += 1
-    return out
-
-
 def _int_from_bits(bits: np.ndarray) -> int:
-    v = 0
-    for i, b in enumerate(bits.tolist()):
-        if b:
-            v |= 1 << i
-    return v
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def _bits_from_int(v: int, length: int) -> np.ndarray:
-    return np.array([(v >> i) & 1 for i in range(length)], dtype=np.uint8)
+    raw = np.frombuffer(v.to_bytes((length + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=length, bitorder="little")
 
 
 def bch_encode(code: BchCode, message) -> np.ndarray:
     """Non-systematic encoding: the k-bit message selects rows of the matrix.
 
-    Equivalent to carry-less multiplication of the message polynomial by the
-    reversed generator coefficients; returns the n-bit codeword.
+    Row i is the band shifted to column i, so the codeword is the XOR of the
+    message shifted by every band offset: carry-less multiplication by the
+    reversed generator.  Returns the n-bit codeword.
     """
     m = as_bit_array(message)
     if m.size != code.k:
         raise ValueError(f"message length {m.size} != k = {code.k}")
     mval = _int_from_bits(m)
-    revg = _reversed_generator_mask(code)
     c = 0
-    shift = 0
-    while mval:
-        if mval & 1:
-            c ^= revg << shift
-        mval >>= 1
-        shift += 1
+    for d in _band_offsets(code):
+        c ^= mval << d
     return _bits_from_int(c, code.n)
 
 
@@ -340,7 +300,8 @@ def bch_decode(code: BchCode, received) -> DecodeResult:
         corrected[roots] ^= 1
         nerr = L
 
-    quotient, remainder = _gf2_divmod(_int_from_bits(corrected), _reversed_generator_mask(code))
+    reversed_generator = sum(1 << d for d in _band_offsets(code))
+    quotient, remainder = _gf2_divmod(_int_from_bits(corrected), reversed_generator)
     if remainder != 0:
         return DecodeResult(False, None, 0)
     return DecodeResult(True, _bits_from_int(quotient, code.k), nerr)
@@ -354,4 +315,4 @@ def predicted_output_bias(code: BchCode, input_bias: float) -> float:
     """
     if not 0.0 <= input_bias <= 1.0:
         raise ValueError(f"input bias must lie in [0, 1], got {input_bias}")
-    return float(input_bias) ** poly_weight(code.generator)
+    return float(input_bias) ** code.generator.bit_count()

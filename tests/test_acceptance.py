@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import compress_stream_shiftreg
 
 from eccrng.cli import main as cli_main
 from eccrng.codes import (
@@ -18,7 +19,6 @@ from eccrng.codes import (
     bch_encode,
     code_registry,
     compress_stream_matrix,
-    compress_stream_shiftreg,
     lookup_code,
 )
 from eccrng.source import (
@@ -122,7 +122,7 @@ def test_04_battery_orderings(verdict):
     for n in (31, 63, 127):
         codes = sorted(
             (c for c in code_registry() if c.n == n),
-            key=lambda c: c.generator.weight,
+            key=lambda c: c.generator.bit_count(),
             reverse=True,
         )
         chain_found = None

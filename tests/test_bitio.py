@@ -11,6 +11,7 @@ from eccrng.bitio import (
     MSB_FIRST,
     PACKED,
     RunManifest,
+    decode_bits,
     load_manifest,
     manifest_for_file,
     manifest_path_for,
@@ -37,6 +38,16 @@ def test_unpack_respects_bit_count():
     assert unpack_bits(b"\x80").tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
     with pytest.raises(ValueError):
         unpack_bits(b"\x80", 9)
+
+
+def test_negative_bit_count_is_rejected_not_a_shorter_read():
+    # numpy reads a negative count as "drop that many bits from the end"
+    with pytest.raises(ValueError):
+        unpack_bits(b"\xff", -3)
+    with pytest.raises(ValueError):
+        decode_bits(b"0101101\n", ASCII, -3)
+    with pytest.raises(ValueError):
+        decode_bits(b"\xff", PACKED, -3)
 
 
 def test_unpack_rejects_unknown_order():

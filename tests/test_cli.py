@@ -208,11 +208,14 @@ def test_calibrate_command(tmp_path, capsys):
     assert run("calibrate", "--t-write", "17") == 1  # no such model
 
 
-def test_bench_self_check_and_shares(tmp_path, capsys):
+def test_bench_stage_lines_and_shares(tmp_path, capsys):
     out_file = tmp_path / "bench.txt"
     assert run("bench", "--bits", "50000", "--output", str(out_file)) == 0
     text = capsys.readouterr().out
-    assert "routes_agree=true" in text
+    # one line per timed stage, and no reference-oracle run beside them
+    stages = re.findall(r"^stage=(\S+) ", text, re.MULTILINE)
+    assert stages == ["generate", "lfsr(3,1,0)", "ecc(31,16,3)"]
+    assert "selfcheck=" not in text
     shares = [float(s) for s in re.findall(r"share=([\d.]+)%", text)]
     assert shares and sum(shares) <= 100.5
     assert "throughput_mbit_s" in text
@@ -247,6 +250,8 @@ def test_bench_rejects_bad_source():
         (["calibrate", "--empirical", "--seed", "-2"], 1),
         (["speed", "--read-ns", "nan"], 1),
         (["speed", "--read-ns", "inf"], 1),
+        (["generate", "--current", "nan", "--bits", "10", "--output", "{out}"], 1),
+        (["generate", "--current", "inf", "--bits", "10", "--output", "{out}"], 1),
     ],
 )
 def test_bad_argv_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, argv, code):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import compress_stream_shiftreg
 
 from eccrng.codes import (
     _field_for,
@@ -10,7 +11,6 @@ from eccrng.codes import (
     code_registry,
     compress_block,
     compress_stream_matrix,
-    compress_stream_shiftreg,
     lookup_code,
     predicted_output_bias,
 )
@@ -42,7 +42,7 @@ def test_generators_meet_the_bch_bound():
     # roots; checked in the field tables, independently of the decoder
     for code in code_registry():
         field = _field_for(code.n)
-        support = [i for i, c in enumerate(code.generator.coefficients) if c]
+        support = [i for i in range(code.generator.bit_length()) if (code.generator >> i) & 1]
         for j in range(1, 2 * code.t + 1):
             value = 0
             for i in support:
@@ -79,7 +79,7 @@ def test_compression_matrix_is_banded():
     assert np.array_equal(_compression_matrix(lookup_code(7, 4, 1)), expected)
     for code in code_registry():
         deg = code.n - code.k
-        row = [(code.generator.mask >> (deg - j)) & 1 for j in range(deg + 1)]
+        row = [(code.generator >> (deg - j)) & 1 for j in range(deg + 1)]
         band = np.zeros((code.k, code.n), dtype=np.uint8)
         for i in range(code.k):
             band[i, i : i + deg + 1] = row
@@ -137,6 +137,31 @@ def test_encode_basis_message_is_reversed_generator():
     code = lookup_code(7, 4, 1)
     cw = bch_encode(code, [1, 0, 0, 0])
     assert cw.tolist() == [1, 0, 1, 1, 0, 0, 0]
+    # unit message e_i encodes to the generator read highest degree first,
+    # starting at position i
+    for code in code_registry():
+        deg = code.n - code.k
+        reversed_generator = [(code.generator >> (deg - j)) & 1 for j in range(deg + 1)]
+        for i in range(code.k):
+            unit = np.zeros(code.k, dtype=np.uint8)
+            unit[i] = 1
+            expected = np.zeros(code.n, dtype=np.uint8)
+            expected[i : i + deg + 1] = reversed_generator
+            assert np.array_equal(bch_encode(code, unit), expected), (str(code), i)
+
+
+@pytest.mark.parametrize("row", EXPECTED_TABLE, ids=lambda r: f"{r[0]}-{r[1]}-{r[2]}")
+def test_encode_is_the_adjoint_of_compress(row):
+    # encode is m^T G and compress is G y for the same band G, so
+    # <encode(m), y> = <m, compress(y)> over GF(2) for every m and y
+    code = lookup_code(*row[:3])
+    rng = np.random.default_rng(row[0] * 7 + row[1])
+    for _ in range(200):
+        m = rng.integers(0, 2, code.k, dtype=np.uint8)
+        y = rng.integers(0, 2, code.n, dtype=np.uint8)
+        lhs = int(bch_encode(code, m) @ y) & 1
+        rhs = int(m @ compress_block(code, y)) & 1
+        assert lhs == rhs
 
 
 def test_encode_length_check():
@@ -221,7 +246,7 @@ def test_decode_rejects_bad_length():
 
 def test_predicted_output_bias_cubes_for_weight_three():
     code = lookup_code(31, 26, 1)
-    assert code.generator.weight == 3
+    assert code.generator.bit_count() == 3
     assert predicted_output_bias(code, 0.2) == pytest.approx(0.008)
     assert predicted_output_bias(code, 0.0) == 0.0
     assert predicted_output_bias(code, 1.0) == 1.0

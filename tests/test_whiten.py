@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from oracles import serial_lfsr_whiten
 
 from eccrng.codes import lookup_code
 from eccrng.source import bernoulli_stream
@@ -22,31 +23,6 @@ from eccrng.whiten import (
     run_pipeline,
     von_neumann,
 )
-
-
-def serial_lfsr_whiten(spec, seed, bits, injection=FEEDBACK_INJECTION):
-    """Reference oracle: the register stepped one input bit at a time.
-
-    seed bit j-1 preloads cell j, which is bit j-1 of the state integer.
-    Each step expels cell N; feedback injection loads feedback XOR input
-    into cell 1, output-xor injection loads the feedback and XORs the input
-    into the expelled bit.
-    """
-    state = seed
-    fbmask = spec.feedback_mask
-    statemask = (1 << spec.width) - 1
-    oldest = spec.width - 1
-    out = []
-    for bit in np.asarray(bits).tolist():
-        fb = (state & fbmask).bit_count() & 1
-        expelled = (state >> oldest) & 1
-        if injection == FEEDBACK_INJECTION:
-            out.append(expelled)
-            state = ((state << 1) | (fb ^ bit)) & statemask
-        else:
-            out.append(expelled ^ bit)
-            state = ((state << 1) | fb) & statemask
-    return np.array(out, dtype=np.uint8)
 
 
 # shipped sets, two- and four-tap registers, a smallest cell tap above 1,
