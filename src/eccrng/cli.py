@@ -205,7 +205,10 @@ def _resolve_source(kind: str, value: str, args, seed: int) -> tuple[SourceConfi
             raise UsageError(f"unknown preset {value!r}; available: {', '.join(sorted(PRESETS))}")
         p, t_write = PRESETS[value]
         model = _load_model(args.model_config, t_write)
-        current = calibrate_current(model, target=p, tol=1e-12)
+        try:
+            current = calibrate_current(model, target=p, tol=1e-12)
+        except CalibrationError as exc:
+            raise UsageError(f"preset {value}: {exc}") from None
         cfg = SourceConfig("mtj", seed, args.bits, model=model, current_ua=current)
         params = {"source": f"preset:{value}", "p": p, "t_write_ns": t_write,
                   "current_ua": current, "seed": seed}

@@ -14,10 +14,10 @@ correlation.
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "CalibrationError",
@@ -65,8 +65,12 @@ PRESETS: dict[str, tuple[float, float]] = {
 
 
 def switching_probability(model: SwitchingModel, current_ua: float) -> float:
-    """P(switch) = logistic((I - i50) / slope_scale); exact 0.5 at i50."""
-    return float(expit((current_ua - model.i50_ua) / model.slope_scale_ua))
+    """P(switch) = logistic((I - i50) / slope_scale); exact 0.5 at i50, never overflows."""
+    x = (current_ua - model.i50_ua) / model.slope_scale_ua
+    if x < 0:
+        e = math.exp(x)
+        return e / (1.0 + e)
+    return 1.0 / (1.0 + math.exp(-x))
 
 
 def _parse_model_text(text: str, origin: str) -> dict[float, SwitchingModel]:
@@ -90,6 +94,8 @@ def _parse_model_text(text: str, origin: str) -> dict[float, SwitchingModel]:
             t_write = float(tpart[1:])
         except ValueError:
             raise ValueError(f"{origin}:{lineno}: bad pulse width in key {key!r}") from None
+        if not (math.isfinite(val) and math.isfinite(t_write)):
+            raise ValueError(f"{origin}:{lineno}: values and pulse widths must be finite: {raw!r}")
         if fieldname not in ("i50_ua", "slope_scale_ua"):
             raise ValueError(f"{origin}:{lineno}: unknown field {fieldname!r}")
         fields.setdefault(t_write, {})[fieldname] = val
@@ -120,32 +126,21 @@ def default_switching_models() -> dict[float, SwitchingModel]:
     return load_switching_models(None)
 
 
-def calibrate_current(
-    model: SwitchingModel,
-    target: float = 0.5,
-    tol: float = 1e-9,
-    max_iter: int = 200,
-) -> float:
-    """Bisection on the analytic curve for the current hitting P = target."""
+def calibrate_current(model: SwitchingModel, target: float = 0.5, tol: float = 1e-9) -> float:
+    """The curve's inverse, i50 + slope_scale * log(target / (1 - target)).
+
+    Raises CalibrationError when the curve there misses target by more than
+    tol (a curve too steep for float currents to resolve)."""
     if not 0.0 < target < 1.0:
         raise ValueError(f"target probability must lie in (0, 1), got {target}")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    span = 60.0 * model.slope_scale_ua  # logistic is fully saturated 60 widths out
-    lo = model.i50_ua - span
-    hi = model.i50_ua + span
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        p = switching_probability(model, mid)
-        if abs(p - target) <= tol:
-            return mid
-        if p < target:
-            lo = mid
-        else:
-            hi = mid
-    raise CalibrationError(
-        f"no current within tol={tol} of target {target} after {max_iter} bisections"
-    )
+    current = model.i50_ua + model.slope_scale_ua * math.log(target / (1.0 - target))
+    if not abs(switching_probability(model, current) - target) <= tol:
+        raise CalibrationError(
+            f"the curve at {current:g} uA misses target {target} by more than tol={tol}"
+        )
+    return current
 
 
 def calibrate_current_empirical(
@@ -169,7 +164,7 @@ def calibrate_current_empirical(
         raise ValueError(f"tolerance must be positive, got {tol}")
     if batch_bits < 1:
         raise ValueError(f"batch_bits must be >= 1, got {batch_bits}")
-    span = 60.0 * model.slope_scale_ua
+    span = 60.0 * model.slope_scale_ua  # logistic is fully saturated 60 widths out
     lo = model.i50_ua - span
     hi = model.i50_ua + span
     for step in range(max_iter):

@@ -252,10 +252,19 @@ def test_bench_rejects_bad_source():
         (["speed", "--read-ns", "inf"], 1),
         (["generate", "--current", "nan", "--bits", "10", "--output", "{out}"], 1),
         (["generate", "--current", "inf", "--bits", "10", "--output", "{out}"], 1),
+        (["generate", "--preset", "data-b", "--model-config", "{far}", "--bits", "100",
+          "--output", "{out}"], 1),
+        (["bench", "--bits", "100", "--source", "data-b", "--model-config", "{far}"], 1),
+        (["generate", "--current", "100", "--model-config", "{nan}", "--bits", "10",
+          "--output", "{out}"], 2),
     ],
 )
 def test_bad_argv_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, argv, code):
-    paths = {"ascii": tmp_path / "a.txt", "packed": tmp_path / "p.bits", "out": tmp_path / "o"}
+    paths = {"ascii": tmp_path / "a.txt", "packed": tmp_path / "p.bits", "out": tmp_path / "o",
+             "far": tmp_path / "far.cfg", "nan": tmp_path / "nan.cfg"}
+    # a curve no float current resolves, and a non-finite midpoint
+    paths["far"].write_text("t30.i50_ua = 1e20\nt30.slope_scale_ua = 1e-3\n")
+    paths["nan"].write_text("t30.i50_ua = nan\nt30.slope_scale_ua = 5\n")
     assert run("generate", "--bernoulli", "0.5", "--bits", "2000", "--seed", "4",
                "--encoding", "ascii", "--output", str(paths["ascii"])) == 0
     paths["packed"].write_bytes(b"\x9c\x22\x01")

@@ -99,6 +99,14 @@ def test_switching_probability_center_and_monotonicity():
         assert all(0.0 < p < 1.0 for p in grid)
 
 
+def test_switching_probability_saturates_without_overflow():
+    model = default_switching_models()[30.0]
+    width = model.slope_scale_ua
+    assert switching_probability(model, model.i50_ua - 1e6 * width) == 0.0
+    assert switching_probability(model, model.i50_ua + 1e6 * width) == 1.0
+    assert switching_probability(model, model.i50_ua) == 0.5
+
+
 def test_shorter_pulse_has_shallower_curve():
     models = default_switching_models()
     fast, slow = models[10.0], models[30.0]
@@ -129,8 +137,10 @@ def test_calibrate_current_validation_and_failure():
         calibrate_current(model, target=0.0)
     with pytest.raises(ValueError):
         calibrate_current(model, target=0.5, tol=-1.0)
+    # so steep and so far out that every float current is at the midpoint
+    far = SwitchingModel(t_write_ns=30.0, i50_ua=1e20, slope_scale_ua=1e-3)
     with pytest.raises(CalibrationError):
-        calibrate_current(model, target=0.511, tol=1e-15, max_iter=5)
+        calibrate_current(far, target=0.511, tol=1e-3)
 
 
 def test_calibrate_current_empirical_settles_near_target():
@@ -165,10 +175,12 @@ def test_model_config_round_trip(tmp_path):
 
 def test_model_config_reports_bad_lines(tmp_path):
     cfg = tmp_path / "broken.cfg"
-    cfg.write_text("t10.i50_ua = not-a-number\n")
-    with pytest.raises(ValueError) as exc:
-        load_switching_models(str(cfg))
-    assert ":1:" in str(exc.value)
+    for line in ("t10.i50_ua = not-a-number", "t30.i50_ua = nan",
+                 "t30.slope_scale_ua = inf", "tinf.i50_ua = 100"):
+        cfg.write_text(f"# a comment\n{line}\n")
+        with pytest.raises(ValueError) as exc:
+            load_switching_models(str(cfg))
+        assert ":2:" in str(exc.value)
 
 
 def test_model_config_requires_both_fields(tmp_path):

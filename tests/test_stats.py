@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import mpmath as mp
-from scipy.special import erfc, gammaincc
 
 from eccrng.source import bernoulli_stream
 from eccrng.stats import (
     EmptyBatteryError,
+    _chi2_sf,
+    _normal_cdf,
     approximate_entropy_test,
     block_frequency_test,
     cumulative_sums_test,
@@ -49,17 +50,24 @@ def test_block_frequency_reference_vector():
 
 # --- special functions against an independent high-precision route ---
 
-def test_erfc_matches_mpmath():
-    for x in np.linspace(0.05, 6.0, 24):
-        want = float(mp.erfc(mp.mpf(float(x))))
-        assert erfc(x) == pytest.approx(want, rel=1e-10)
+def test_normal_cdf_matches_mpmath():
+    for x in np.linspace(-6.0, 6.0, 49):
+        want = float(mp.ncdf(mp.mpf(float(x))))
+        assert _normal_cdf(x) == pytest.approx(want, rel=1e-10)
 
 
-def test_gammaincc_matches_mpmath():
-    for a in (0.5, 1.0, 1.5, 2.0, 4.0, 8.0):
-        for x in (0.05, 0.3, 1.0, 2.5, 7.0, 15.0):
-            want = float(mp.gammainc(a, x, mp.inf, regularized=True))
-            assert gammaincc(a, x) == pytest.approx(want, rel=1e-10)
+def test_chi2_sf_matches_mpmath():
+    # every dof from 1 to 40, and the block counts of the benchmark's batteries
+    # (2,064,512, 2,280,011 and 4,128,768 bits in 128-bit blocks)
+    for dof in [*range(1, 41), 16129, 17812, 32256]:
+        sigma = math.sqrt(2.0 * dof)
+        points = [dof + s * sigma for s in np.linspace(-6.0, 6.0, 13)] + [0.05, 0.3]
+        for chi2 in points:
+            if chi2 <= 0.0:
+                continue
+            want = mp.gammainc(mp.mpf(dof) / 2, mp.mpf(float(chi2)) / 2, mp.inf, regularized=True)
+            assert _chi2_sf(dof, chi2) == pytest.approx(float(want), rel=1e-10)
+        assert _chi2_sf(dof, 0.0) == 1.0
 
 
 # --- structural behavior on crafted inputs ---
@@ -226,20 +234,21 @@ def test_battery_empty_raises():
 
 def test_report_round_trip():
     bits = bernoulli_stream(0.5, 3, 131_072)
-    report = run_battery(bits)
-    text = render_report(report)
-    meta = parse_report(text)
-    assert meta["battery_report_version"] == "1"
-    assert meta["input_bits"] == report.input_bits
-    assert meta["alpha"] == report.alpha
-    assert meta["failure_count"] == report.failure_count
-    assert meta["p_value_failures"] == report.p_value_failures
-    assert meta["verdict"] == report.verdict
-    assert len(meta["tests"]) == len(report.results)
-    for rec, r in zip(meta["tests"], report.results):
-        assert rec["test_name"] == r.test_name
-        assert rec["passed"] == r.passed
-        assert rec["p_values"] == pytest.approx(list(r.p_values), rel=1e-4)
+    for alpha in (0.01, 0.0123456789):
+        report = run_battery(bits, alpha=alpha)
+        text = render_report(report)
+        meta = parse_report(text)
+        assert meta["battery_report_version"] == "1"
+        assert meta["input_bits"] == report.input_bits
+        assert meta["alpha"] == report.alpha == alpha
+        assert meta["failure_count"] == report.failure_count
+        assert meta["p_value_failures"] == report.p_value_failures
+        assert meta["verdict"] == report.verdict
+        assert len(meta["tests"]) == len(report.results)
+        for rec, r in zip(meta["tests"], report.results):
+            assert rec["test_name"] == r.test_name
+            assert rec["passed"] == r.passed
+            assert rec["p_values"] == pytest.approx(list(r.p_values), rel=1e-4)
 
 
 def test_report_records_skips():
@@ -253,3 +262,55 @@ def test_report_records_skips():
         else:
             assert set(rec) == {"test_name", "p_values", "passed", "skipped"}
             assert rec["passed"] == r.passed
+
+
+# Full report text for two seeded inputs, so that a change to any P-value
+# formula or to the report format shows here, not only in perfbench.  The
+# first has odd block_frequency dof (7813 blocks); the second is biased
+# enough that the monobit, cumulative-sums and serial P-values fall into the
+# far tails and the verdict is Fail.
+PINNED_REPORTS = [
+    ((0.5, 11, 1_000_064), """\
+battery_report_version 1
+input_bits 1000064
+alpha 0.01
+fail_threshold 2
+test_count 9
+test_name=monobit p_values=0.268742 passed=true
+test_name=block_frequency p_values=0.554294 passed=true
+test_name=runs p_values=0.66341 passed=true
+test_name=longest_run p_values=0.322259 passed=true
+test_name=cumulative_sums_forward p_values=0.31412 passed=true
+test_name=cumulative_sums_backward p_values=0.278288 passed=true
+test_name=serial p_values=0.494165,0.665751 passed=true
+test_name=approximate_entropy p_values=0.357599 passed=true
+test_name=spectral p_values=0.207371 passed=true
+failure_count 0
+p_value_failures 0
+verdict Pass
+"""),
+    ((0.4985, 12, 1_000_000), """\
+battery_report_version 1
+input_bits 1000000
+alpha 0.01
+fail_threshold 2
+test_count 9
+test_name=monobit p_values=2.37882e-05 passed=false
+test_name=block_frequency p_values=0.322761 passed=true
+test_name=runs p_values=0 passed=false
+test_name=longest_run p_values=0.620966 passed=true
+test_name=cumulative_sums_forward p_values=4.57103e-05 passed=false
+test_name=cumulative_sums_backward p_values=2.23594e-05 passed=false
+test_name=serial p_values=0.000104799,0.493975 passed=false
+test_name=approximate_entropy p_values=0.000966459 passed=false
+test_name=spectral p_values=0.639779 passed=true
+failure_count 6
+p_value_failures 6
+verdict Fail
+"""),
+]
+
+
+@pytest.mark.parametrize("stream, text", PINNED_REPORTS)
+def test_report_text_is_pinned(stream, text):
+    assert render_report(run_battery(bernoulli_stream(*stream))) == text
