@@ -64,17 +64,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-class _StageAction(argparse.Action):
-    """Append (kind, value) to a shared list so stage order survives parsing."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        stages = getattr(namespace, "stages", None)
-        if stages is None:
-            stages = []
-            setattr(namespace, "stages", stages)
-        stages.append((self.dest, values))
-
-
 def _default_seed() -> int:
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
@@ -121,11 +110,10 @@ def _parse_code(text: str):
 
 
 def _build_stages(args) -> PipelineSpec:
-    raw = getattr(args, "stages", None)
-    if not raw:
+    if not args.stages:
         raise UsageError("no pipeline stages given (use --rejection, --lfsr, --ecc)")
     built = []
-    for kind, value in raw:
+    for kind, value in args.stages:
         if kind == "rejection":
             built.append(RejectionStage())
         elif kind == "lfsr":
@@ -335,8 +323,6 @@ def cmd_test(args, argv) -> int:
             block_size=args.block_size,
             pattern_length=args.pattern_length,
         )
-    except stats.EmptyBatteryError as exc:
-        raise UsageError(str(exc)) from None
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     text = stats.render_report(report)
@@ -440,7 +426,7 @@ def cmd_bench(args, argv) -> int:
     seed, argv = _resolve_seed(args, argv)
     cfg, params = _resolve_source(kind, value, args, seed)
     source_label = params["source"]
-    if not getattr(args, "stages", None):
+    if not args.stages:
         # documented default composition: whitening register into the strongest
         # mid-length compressor
         args.stages = [("lfsr", "3,1,0"), ("ecc", "31,16,3")]
@@ -491,11 +477,14 @@ def _add_input_flags(p: _Parser) -> None:
 
 
 def _add_stage_flags(p: _Parser) -> None:
-    p.add_argument("--rejection", dest="rejection", action=_StageAction, nargs=0,
+    # all three append (kind, value) to one list, so stage order survives parsing
+    p.add_argument("--rejection", dest="stages", action="append_const", const=("rejection", None),
                    help="von Neumann pairwise rejection stage (repeatable, order matters)")
-    p.add_argument("--lfsr", dest="lfsr", action=_StageAction, metavar="TAPS",
+    p.add_argument("--lfsr", dest="stages", action="append", type=lambda v: ("lfsr", v),
+                   metavar="TAPS",
                    help="LFSR whitening stage, taps like 3,1,0 (repeatable, order matters)")
-    p.add_argument("--ecc", dest="ecc", action=_StageAction, metavar="N,K,T",
+    p.add_argument("--ecc", dest="stages", action="append", type=lambda v: ("ecc", v),
+                   metavar="N,K,T",
                    help="code compression stage, e.g. 31,16,3 (repeatable, order matters)")
     p.add_argument("--lfsr-seed", type=int, default=1, help="register preload for --lfsr stages")
     p.add_argument("--injection", choices=["feedback", "output-xor"], default=DEFAULT_INJECTION)

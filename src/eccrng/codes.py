@@ -54,11 +54,6 @@ _CODE_TABLE: tuple[tuple[int, int, int, str], ...] = (
     (127, 99, 4, "3447023271"),
 )
 
-# Field modulus per length: the t=1 generator of each length is the
-# standard primitive polynomial of GF(2^m), reused for syndrome decoding.
-_PRIMITIVE = {7: 0o13, 31: 0o45, 63: 0o103, 127: 0o211}
-
-
 @dataclass(frozen=True)
 class BchCode:
     """A (n, k, t) binary BCH code with its generator polynomial."""
@@ -183,84 +178,29 @@ def bch_encode(code: BchCode, message) -> np.ndarray:
     return _bits_from_int(c, code.n)
 
 
-class _Field:
-    """GF(2^m) arithmetic via exp/log tables over the standard modulus."""
-
-    def __init__(self, m: int, poly: int):
-        size = (1 << m) - 1
-        exp = np.zeros(2 * size, dtype=np.int64)
-        log = np.zeros(size + 1, dtype=np.int64)
-        x = 1
-        for i in range(size):
-            exp[i] = x
-            log[x] = i
-            x <<= 1
-            if x >> m:
-                x ^= poly
-        if x != 1:
-            raise ValueError(f"0o{poly:o} is not primitive for GF(2^{m})")
-        exp[size:] = exp[:size]
-        self.m = m
-        self.size = size
-        self.exp = exp
-        self.log = log
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp[self.log[a] + self.log[b]])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in GF(2^m)")
-        return int(self.exp[self.size - self.log[a]])
-
-
 @lru_cache(maxsize=None)
-def _field_for(n: int) -> _Field:
-    poly = _PRIMITIVE[n]
-    return _Field(poly.bit_length() - 1, poly)
+def _gf_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """exp and log tables of GF(n + 1) over the length's t = 1 generator.
 
-
-def _berlekamp_massey(field: _Field, syndromes: list[int]) -> tuple[list[int], int]:
-    """Shortest LFSR (error locator sigma) generating the syndrome sequence."""
-    nsyn = len(syndromes)
-    c = [1] + [0] * nsyn
-    b = [1] + [0] * nsyn
-    L = 0
-    shift = 1
-    bscale = 1
-    for i in range(nsyn):
-        d = syndromes[i]
-        for j in range(1, L + 1):
-            d ^= field.mul(c[j], syndromes[i - j])
-        if d == 0:
-            shift += 1
-            continue
-        coef = field.mul(d, field.inv(bscale))
-        if 2 * L <= i:
-            prev = c[:]
-            for j in range(nsyn + 1 - shift):
-                c[j + shift] ^= field.mul(coef, b[j])
-            L = i + 1 - L
-            b = prev
-            bscale = d
-            shift = 1
-        else:
-            for j in range(nsyn + 1 - shift):
-                c[j + shift] ^= field.mul(coef, b[j])
-            shift += 1
-    return c[: L + 1], L
-
-
-def _chien_roots(field: _Field, sigma: list[int], n: int) -> np.ndarray:
-    """Positions p in [0, n) with sigma(alpha^p) = 0."""
-    p = np.arange(n, dtype=np.int64)
-    acc = np.zeros(n, dtype=np.int64)
-    for j, cj in enumerate(sigma):
-        if cj:
-            acc ^= field.exp[(int(field.log[cj]) + j * p) % field.size]
-    return np.flatnonzero(acc == 0)
+    That generator is the standard primitive polynomial of the field.  exp
+    holds two periods and then zeros, and log[0] points into the zeros, so
+    exp[log a + log b] is the product a * b for every a and b, 0 included.
+    """
+    m = n.bit_length()
+    poly = lookup_code(n, n - m, 1).generator
+    exp = np.zeros(4 * n + 1, dtype=np.int64)
+    log = np.full(n + 1, 2 * n, dtype=np.int64)
+    x = 1
+    for i in range(n):
+        exp[i] = x
+        log[x] = i
+        x <<= 1
+        if x >> m:
+            x ^= poly
+    if (log[1:] == 2 * n).any():  # some nonzero element is no power of x
+        raise ValueError(f"0o{poly:o} is not primitive for GF(2^{m})")
+    exp[n : 2 * n] = exp[:n]
+    return exp, log
 
 
 def bch_decode(code: BchCode, received) -> DecodeResult:
@@ -272,36 +212,47 @@ def bch_decode(code: BchCode, received) -> DecodeResult:
     ok=False when no codeword lies within distance t.
     """
     r = as_bit_array(received)
-    if r.size != code.n:
-        raise ValueError(f"received length {r.size} != n = {code.n}")
-    field = _field_for(code.n)
-    n = code.n
-    ones = np.flatnonzero(r).astype(np.int64)
-    syndromes = []
-    for j in range(1, 2 * code.t + 1):
-        if ones.size:
-            idx = (ones * ((n - j) % n)) % n
-            s = int(np.bitwise_xor.reduce(field.exp[idx]))
-        else:
-            s = 0
-        syndromes.append(s)
-
-    if not any(syndromes):
-        corrected = r
-        nerr = 0
-    else:
-        sigma, L = _berlekamp_massey(field, syndromes)
-        if L > code.t or sigma[L] == 0:
+    n, t = code.n, code.t
+    if r.size != n:
+        raise ValueError(f"received length {r.size} != n = {n}")
+    exp, log = _gf_tables(n)
+    ones = np.flatnonzero(r)
+    syndromes = np.bitwise_xor.reduce(exp[np.outer(np.arange(1, 2 * t + 1), -ones) % n], axis=1)
+    word = _int_from_bits(r)
+    nerr = 0
+    if syndromes.any():
+        # Berlekamp-Massey for a binary word: S_2j = S_j^2 makes the
+        # discrepancy of every even step zero, so only the t odd steps run.
+        # prev is sigma before the last length change, shift the number of
+        # steps since then (each odd step and its even step count two).
+        sigma = np.zeros(2 * t + 1, dtype=np.int64)
+        sigma[0] = 1
+        prev, prev_d, L, shift = sigma, 1, 0, 1
+        for i in range(0, 2 * t, 2):
+            window = syndromes[i - L : i + 1][::-1]
+            d = int(np.bitwise_xor.reduce(exp[log[sigma[: L + 1]] + log[window]]))
+            if d:
+                coef = exp[log[d] + n - log[prev_d]]  # d / prev_d
+                update = np.zeros_like(sigma)
+                update[shift:] = exp[log[coef] + log[prev[: 2 * t + 1 - shift]]]
+                if 2 * L <= i:
+                    prev, prev_d, L, shift = sigma, d, i + 1 - L, 0
+                sigma = sigma ^ update
+            shift += 2
+        if L > t or sigma[L] == 0:
             return DecodeResult(False, None, 0)
-        roots = _chien_roots(field, sigma, n)
+        # Chien search: sigma(alpha^p) for every position p at once
+        powers = np.outer(np.arange(L + 1), np.arange(n)) % n
+        values = np.bitwise_xor.reduce(exp[log[sigma[: L + 1], None] + powers], axis=0)
+        roots = np.flatnonzero(values == 0)
         if roots.size != L:
             return DecodeResult(False, None, 0)
-        corrected = r.copy()
-        corrected[roots] ^= 1
+        for p in roots.tolist():
+            word ^= 1 << p
         nerr = L
 
     reversed_generator = sum(1 << d for d in _band_offsets(code))
-    quotient, remainder = _gf2_divmod(_int_from_bits(corrected), reversed_generator)
+    quotient, remainder = _gf2_divmod(word, reversed_generator)
     if remainder != 0:
         return DecodeResult(False, None, 0)
     return DecodeResult(True, _bits_from_int(quotient, code.k), nerr)

@@ -49,6 +49,8 @@ class SwitchingModel:
     slope_scale_ua: float  # logistic width, microamps
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.t_write_ns, self.i50_ua, self.slope_scale_ua))):
+            raise ValueError(f"model fields must be finite, got {self}")
         if self.slope_scale_ua <= 0:
             raise ValueError(f"slope_scale must be positive, got {self.slope_scale_ua}")
         if self.t_write_ns <= 0:
@@ -133,8 +135,8 @@ def calibrate_current(model: SwitchingModel, target: float = 0.5, tol: float = 1
     tol (a curve too steep for float currents to resolve)."""
     if not 0.0 < target < 1.0:
         raise ValueError(f"target probability must lie in (0, 1), got {target}")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     current = model.i50_ua + model.slope_scale_ua * math.log(target / (1.0 - target))
     if not abs(switching_probability(model, current) - target) <= tol:
         raise CalibrationError(
@@ -160,8 +162,8 @@ def calibrate_current_empirical(
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target probability must lie in (0, 1), got {target}")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     if batch_bits < 1:
         raise ValueError(f"batch_bits must be >= 1, got {batch_bits}")
     span = 60.0 * model.slope_scale_ua  # logistic is fully saturated 60 widths out

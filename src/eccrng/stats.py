@@ -202,8 +202,11 @@ def cumulative_sums_test(
         x = x[::-1]
     z = int(np.abs(np.cumsum(x)).max())
     sqn = math.sqrt(n)
-    k1 = range(math.floor((-n / z + 1) / 4), math.floor((n / z - 1) / 4) + 1)
-    k2 = range(math.floor((-n / z - 3) / 4), math.floor((n / z - 1) / 4) + 1)
+    # beyond +-40 the normal CDF is exactly 0.0 or 1.0 in double precision,
+    # so a k whose CDF arguments both lie past the same end adds exactly 0.0
+    c = 40.0 * sqn / z
+    k1 = range(math.floor(max(-n / z + 1, -c - 1) / 4), math.floor(min(n / z - 1, c + 1) / 4) + 1)
+    k2 = range(math.floor(max(-n / z - 3, -c - 3) / 4), math.floor(min(n / z - 1, c - 1) / 4) + 1)
     term1 = sum(_normal_cdf((4 * k + 1) * z / sqn) - _normal_cdf((4 * k - 1) * z / sqn) for k in k1)
     term2 = sum(_normal_cdf((4 * k + 3) * z / sqn) - _normal_cdf((4 * k + 1) * z / sqn) for k in k2)
     p = 1.0 - term1 + term2

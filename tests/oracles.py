@@ -1,10 +1,13 @@
-"""Bit-serial reference oracles for the whole-array production kernels.
+"""Reference oracles for the production kernels.
 
-Each oracle steps the hardware register one bit at a time, as the circuit
-would.  They are slow and independent of the kernels they check, which is
-what makes them useful as references: tests compare `lfsr_whiten` and
-`compress_stream_matrix` against them bit for bit.
+The register oracles step the hardware register one bit at a time, as the
+circuit would; the decoder oracle looks error patterns up in a table.  They
+are slow and independent of the kernels they check, which is what makes
+them useful as references: tests compare `lfsr_whiten`,
+`compress_stream_matrix` and `bch_decode` against them.
 """
+
+import itertools
 
 import numpy as np
 
@@ -62,3 +65,56 @@ def compress_stream_shiftreg(code, bits):
                 out[w] = (reg & code.generator).bit_count() & 1
                 w += 1
     return out
+
+
+def syndrome_table_decoder(code):
+    """Bounded-distance decoding by table lookup, with no field arithmetic.
+
+    A codeword is a multiple of the reversed generator r(x), so the
+    remainder of a received word mod r(x) depends only on its error
+    pattern.  The table maps that remainder to every error pattern of
+    weight <= t, each built by XOR-ing the remainders of x^p at its
+    positions p; distance >= 2t + 1 makes the map one to one.  Returns
+    decode(bits) -> (ok, message, errors_corrected), with ok=False when no
+    codeword lies within distance t.
+    """
+    n, k, t = code.n, code.k, code.t
+    deg = n - k
+    rgen = sum(((code.generator >> (deg - d)) & 1) << d for d in range(deg + 1))
+    position_rem = []
+    rem = 1
+    for _ in range(n):
+        position_rem.append(rem)
+        rem <<= 1
+        if (rem >> deg) & 1:
+            rem ^= rgen
+    table = {}
+    for weight in range(t + 1):
+        for positions in itertools.combinations(range(n), weight):
+            syndrome = pattern = 0
+            for p in positions:
+                syndrome ^= position_rem[p]
+                pattern |= 1 << p
+            table[syndrome] = pattern
+
+    def decode(bits):
+        word = sum(int(b) << i for i, b in enumerate(bits))
+        syndrome = 0
+        for i in range(n):
+            if (word >> i) & 1:
+                syndrome ^= position_rem[i]
+        pattern = table.get(syndrome)
+        if pattern is None:
+            return False, None, 0
+        word ^= pattern
+        # r(x) has constant term 1, so the quotient comes out lowest bit first
+        message = 0
+        for i in range(k):
+            if (word >> i) & 1:
+                message |= 1 << i
+                word ^= rgen << i
+        assert word == 0
+        bits = np.array([(message >> i) & 1 for i in range(k)], dtype=np.uint8)
+        return True, bits, pattern.bit_count()
+
+    return decode

@@ -257,6 +257,9 @@ def test_bench_rejects_bad_source():
         (["bench", "--bits", "100", "--source", "data-b", "--model-config", "{far}"], 1),
         (["generate", "--current", "100", "--model-config", "{nan}", "--bits", "10",
           "--output", "{out}"], 2),
+        (["calibrate", "--target", "0.276", "--tol", "inf"], 1),
+        (["calibrate", "--empirical", "--tol", "inf"], 1),
+        (["calibrate", "--tol", "nan"], 1),
     ],
 )
 def test_bad_argv_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, argv, code):

@@ -1,11 +1,15 @@
 """Code registry, compression routes, encoder and decoder."""
 
+from math import comb
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from oracles import compress_stream_shiftreg
+from oracles import compress_stream_shiftreg, syndrome_table_decoder
 
+from eccrng import codes
 from eccrng.codes import (
-    _field_for,
+    _gf_tables,
     bch_decode,
     bch_encode,
     code_registry,
@@ -41,13 +45,25 @@ def test_generators_meet_the_bch_bound():
     # a t-error-correcting BCH generator has alpha^1 .. alpha^2t among its
     # roots; checked in the field tables, independently of the decoder
     for code in code_registry():
-        field = _field_for(code.n)
+        exp, _ = _gf_tables(code.n)
         support = [i for i in range(code.generator.bit_length()) if (code.generator >> i) & 1]
         for j in range(1, 2 * code.t + 1):
             value = 0
             for i in support:
-                value ^= int(field.exp[(i * j) % field.size])
+                value ^= int(exp[(i * j) % code.n])
             assert value == 0, (str(code), j)
+
+
+def test_field_tables_reject_a_modulus_that_is_not_primitive(monkeypatch):
+    # modulo x^6 + x^4 + x + 1 the powers of x repeat after 21 steps; 21
+    # divides 63, so x^63 = 1 there too and only the full table shows it
+    monkeypatch.setattr(codes, "lookup_code", lambda n, k, t: SimpleNamespace(generator=0o123))
+    _gf_tables.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="not primitive"):
+            _gf_tables(63)
+    finally:
+        _gf_tables.cache_clear()
 
 
 def test_lookup_miss_lists_what_exists():
@@ -237,6 +253,35 @@ def test_decode_never_returns_original_past_t():
             else:
                 saw_failure = True
     assert saw_failure
+
+
+# codes whose table of error patterns of weight <= t has at most 50,000 rows
+TABLE_DECODABLE = [
+    r for r in EXPECTED_TABLE if sum(comb(r[0], w) for w in range(r[2] + 1)) <= 50_000
+]
+
+
+@pytest.mark.parametrize("row", TABLE_DECODABLE, ids=lambda r: f"{r[0]}-{r[1]}-{r[2]}")
+def test_decode_matches_syndrome_table_beyond_t(row):
+    # uniformly random words and codewords with t+1 flips: both decoders
+    # must find the same codeword within t, or both fail
+    code = lookup_code(*row[:3])
+    oracle = syndrome_table_decoder(code)
+    rng = np.random.default_rng(row[0] * 13 + row[2])
+    decoded = 0
+    for trial in range(200):
+        if trial % 2:
+            word = rng.integers(0, 2, code.n, dtype=np.uint8)
+        else:
+            word = bch_encode(code, rng.integers(0, 2, code.k, dtype=np.uint8))
+            word[rng.choice(code.n, size=code.t + 1, replace=False)] ^= 1
+        res = bch_decode(code, word)
+        ok, message, nerr = oracle(word)
+        assert (res.ok, res.errors_corrected) == (ok, nerr), (str(code), word.tolist())
+        if ok:
+            assert np.array_equal(res.message, message), (str(code), word.tolist())
+        decoded += ok
+    assert decoded  # the messages were compared at least once
 
 
 def test_decode_rejects_bad_length():

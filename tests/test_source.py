@@ -1,5 +1,7 @@
 """Entropy-source simulation: Bernoulli, Markov, switching-curve model."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,13 @@ def test_switching_model_validation():
         SwitchingModel(t_write_ns=10.0, i50_ua=100.0, slope_scale_ua=0.0)
     with pytest.raises(ValueError):
         SwitchingModel(t_write_ns=-1.0, i50_ua=100.0, slope_scale_ua=5.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            SwitchingModel(t_write_ns=30.0, i50_ua=bad, slope_scale_ua=5.0)
+        with pytest.raises(ValueError):
+            SwitchingModel(t_write_ns=30.0, i50_ua=100.0, slope_scale_ua=bad)
+        with pytest.raises(ValueError):
+            SwitchingModel(t_write_ns=bad, i50_ua=100.0, slope_scale_ua=5.0)
 
 
 def test_calibrate_current_hits_target_on_curve():
