@@ -151,14 +151,13 @@ def calibrate_current_empirical(
     tol: float = 5e-3,
     seed: int = 0,
     batch_bits: int = 100_000,
-    max_iter: int = 64,
 ) -> float:
     """Feedback calibration against measured batches instead of the curve.
 
     Each step generates a fresh seeded batch at the trial current, compares
-    the ones-fraction with the target and narrows the current bracket.  The
-    tolerance has to be generous next to the batch noise (about
-    1/sqrt(batch_bits)) or the loop cannot settle.
+    the ones-fraction with the target and narrows the current bracket, for at
+    most 64 batches.  The tolerance has to be generous next to the batch
+    noise (about 1/sqrt(batch_bits)) or the loop cannot settle.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target probability must lie in (0, 1), got {target}")
@@ -169,7 +168,7 @@ def calibrate_current_empirical(
     span = 60.0 * model.slope_scale_ua  # logistic is fully saturated 60 widths out
     lo = model.i50_ua - span
     hi = model.i50_ua + span
-    for step in range(max_iter):
+    for step in range(64):
         mid = 0.5 * (lo + hi)
         batch = mtj_stream(model, mid, seed=np.random.SeedSequence([seed, step]), length=batch_bits)
         frac = float(batch.mean())
@@ -180,7 +179,7 @@ def calibrate_current_empirical(
         else:
             hi = mid
     raise CalibrationError(
-        f"measured fraction never came within tol={tol} of {target} after {max_iter} batches; "
+        f"measured fraction never came within tol={tol} of {target} after 64 batches; "
         f"tol is likely below the batch noise floor"
     )
 

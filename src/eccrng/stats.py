@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import shlex
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -93,9 +94,68 @@ def _chi2_sf(dof: int, chi2: float) -> float:
     return total
 
 
+def _pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
+    """Counts of the 2^m overlapping m-bit patterns (first bit highest) with
+    circular wrap-around, built in the smallest unsigned dtype that holds m
+    bits."""
+    n = b.size
+    ext = np.concatenate([b, b[: m - 1]])
+    vals = ext[:n].astype(np.min_scalar_type((1 << m) - 1))
+    for j in range(1, m):
+        vals <<= 1
+        vals |= ext[j : j + n]
+    return np.bincount(vals, minlength=1 << m)
+
+
+class _Bits:
+    """A validated bit array and the passes over it that several tests share.
+
+    Each pass runs at most once, on first use.  run_battery hands one
+    instance to every test, so serial and approximate entropy share one
+    pattern-count pass and the two cumulative-sums directions share one
+    cumulative sum; a test skipped for a short input starts no pass.
+    """
+
+    def __init__(self, bits, pattern_length: int = 0):
+        self.b = as_bit_array(bits)
+        self.n = self.b.size
+        self._top = pattern_length  # the longest pattern any test will ask for
+        self._counts: list[np.ndarray] = []
+
+    def pattern_counts(self, m: int) -> np.ndarray:
+        """Circular counts of the 2^m m-bit patterns, 0 <= m <= pattern_length."""
+        if not self._counts:
+            self._counts.append(_pattern_counts(self.b, self._top))
+            while self._counts[-1].size > 1:
+                # dropping the last bit of each pattern gives the counts one shorter
+                self._counts.append(self._counts[-1].reshape(-1, 2).sum(axis=1))
+        return self._counts[self._top - m]
+
+    @cached_property
+    def walk_extremes(self) -> tuple[int, int]:
+        """z of the forward and of the backward cumulative-sums walk.
+
+        With S the cumulative sum of 2b - 1 and S_0 = 0, the forward walk
+        peaks at max |S_k|; the backward walk's partial sums are S_n - S_j,
+        so it peaks at max over j < n of |S_n - S_j|.
+        """
+        steps = self.b.view(np.int8) * 2 - 1
+        # every partial sum of a walk shorter than 2^31 steps fits in int32
+        s = np.cumsum(steps, dtype=np.int32 if self.n < 1 << 31 else np.int64)
+        last = int(s[-1])
+        lo = int(s[:-1].min(initial=0))
+        hi = int(s[:-1].max(initial=0))
+        return max(hi, -lo, abs(last)), max(last - lo, hi - last)
+
+
+def _bits(bits, pattern_length: int = 0) -> _Bits:
+    """bits as a _Bits; run_battery passes the one it made, so that its passes are shared."""
+    return bits if isinstance(bits, _Bits) else _Bits(bits, pattern_length)
+
+
 def monobit_test(bits, alpha: float = DEFAULT_ALPHA, min_length: int = 100) -> TestResult:
     """Overall balance of ones and zeros: P = erfc(|S| / sqrt(2n))."""
-    b = as_bit_array(bits)
+    b = _bits(bits).b
     n = b.size
     if n < min_length:
         return _skip("monobit", f"need at least {min_length} bits, got {n}")
@@ -113,7 +173,7 @@ def block_frequency_test(
     """Per-block balance: chi^2 of block ones-fractions against 1/2."""
     if block_size < 1:
         raise ValueError(f"block size must be >= 1, got {block_size}")
-    b = as_bit_array(bits)
+    b = _bits(bits).b
     n = b.size
     params = {"block_size": block_size}
     if n < min_length:
@@ -133,7 +193,7 @@ def runs_test(bits, alpha: float = DEFAULT_ALPHA, min_length: int = 100) -> Test
     Applicable only when the ones-fraction is within 2/sqrt(n) of 1/2;
     outside that band the result is a fail with P = 0.
     """
-    b = as_bit_array(bits)
+    b = _bits(bits).b
     n = b.size
     if n < min_length:
         return _skip("runs", f"need at least {min_length} bits, got {n}")
@@ -160,17 +220,27 @@ _LONGEST_RUN_TABLES = (
 )
 
 
-def _longest_run_per_block(blocks: np.ndarray) -> np.ndarray:
-    m = blocks.shape[1]
-    idx = np.arange(m, dtype=np.int64)
-    lastzero = np.where(blocks == 0, idx, np.int64(-1))
-    np.maximum.accumulate(lastzero, axis=1, out=lastzero)
-    return (idx - lastzero).max(axis=1)
+def _longest_run_classes(blocks: np.ndarray, edges) -> np.ndarray:
+    """Blocks per class of the longest run of ones, the run clipped to
+    edges[0] .. edges[-1], which must be consecutive.
+
+    A row holds a run of L ones iff the AND of L shifted copies of it has a
+    one, so y narrows to those ANDs as L grows, up to the last edge.
+    """
+    ones = blocks.view(bool)
+    y = ones
+    at_least = [blocks.shape[0]]  # blocks in the class of edge L or above
+    for length in range(2, edges[-1] + 1):
+        y = y[:, :-1] & ones[:, length - 1 :]
+        if length > edges[0]:
+            at_least.append(np.count_nonzero(y.any(axis=1)))
+    at_least.append(0)
+    return -np.diff(at_least)
 
 
 def longest_run_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
     """Distribution of the longest run of ones inside fixed-size blocks."""
-    b = as_bit_array(bits)
+    b = _bits(bits).b
     n = b.size
     for min_n, block_size, edges, probs in _LONGEST_RUN_TABLES:
         if n >= min_n:
@@ -179,9 +249,7 @@ def longest_run_test(bits, alpha: float = DEFAULT_ALPHA) -> TestResult:
         return _skip("longest_run", f"need at least 128 bits, got {n}")
     nblocks = n // block_size
     blocks = b[: nblocks * block_size].reshape(nblocks, block_size)
-    longest = _longest_run_per_block(blocks)
-    clipped = np.clip(longest, edges[0], edges[-1])
-    counts = np.array([(clipped == e).sum() for e in edges], dtype=np.float64)
+    counts = _longest_run_classes(blocks, edges).astype(np.float64)
     expected = nblocks * np.asarray(probs)
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     p = _chi2_sf(len(edges) - 1, chi2)
@@ -192,15 +260,13 @@ def cumulative_sums_test(
     bits, alpha: float = DEFAULT_ALPHA, reverse: bool = False, min_length: int = 100
 ) -> TestResult:
     """Maximum excursion of the +/-1 random walk (forward or backward)."""
-    b = as_bit_array(bits)
-    n = b.size
+    x = _bits(bits)
+    n = x.n
     name = "cumulative_sums_backward" if reverse else "cumulative_sums_forward"
     if n < min_length:
         return _skip(name, f"need at least {min_length} bits, got {n}")
-    x = b.astype(np.int64) * 2 - 1
-    if reverse:
-        x = x[::-1]
-    z = int(np.abs(np.cumsum(x)).max())
+    z_forward, z_backward = x.walk_extremes
+    z = z_backward if reverse else z_forward
     sqn = math.sqrt(n)
     # beyond +-40 the normal CDF is exactly 0.0 or 1.0 in double precision,
     # so a k whose CDF arguments both lie past the same end adds exactly 0.0
@@ -213,22 +279,11 @@ def cumulative_sums_test(
     return _result(name, [p], alpha, {"z": z})
 
 
-def _pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
-    """Counts of the 2^m overlapping patterns with circular wrap-around."""
-    n = b.size
-    ext = np.concatenate([b, b[: m - 1]]) if m > 1 else b
-    ext = ext.astype(np.int64)
-    vals = np.zeros(n, dtype=np.int64)
-    for j in range(m):
-        vals = (vals << 1) | ext[j : j + n]
-    return np.bincount(vals, minlength=1 << m)
-
-
-def _psi_sq(b: np.ndarray, m: int) -> float:
+def _psi_sq(counts: np.ndarray, n: int) -> float:
+    m = counts.size.bit_length() - 1
     if m == 0:
         return 0.0
-    n = b.size
-    counts = _pattern_counts(b, m).astype(np.float64)
+    counts = counts.astype(np.float64)
     return float((1 << m) / n * (counts**2).sum() - n)
 
 
@@ -243,14 +298,12 @@ def serial_test(
     m = pattern_length
     if m < 2:
         raise ValueError(f"pattern length must be >= 2, got {m}")
-    b = as_bit_array(bits)
-    n = b.size
+    x = _bits(bits, m)
+    n = x.n
     params = {"pattern_length": m}
     if n < max(min_length, 1 << (m + 1)):
         return _skip("serial", f"need at least {max(min_length, 1 << (m + 1))} bits, got {n}", params)
-    psi_m = _psi_sq(b, m)
-    psi_m1 = _psi_sq(b, m - 1)
-    psi_m2 = _psi_sq(b, m - 2)
+    psi_m, psi_m1, psi_m2 = (_psi_sq(x.pattern_counts(mm), n) for mm in (m, m - 1, m - 2))
     # the differences are non-negative in exact arithmetic; clamp float dust
     d1 = max(psi_m - psi_m1, 0.0)
     d2 = max(psi_m - 2.0 * psi_m1 + psi_m2, 0.0)
@@ -269,8 +322,8 @@ def approximate_entropy_test(
     m = pattern_length
     if m < 1:
         raise ValueError(f"pattern length must be >= 1, got {m}")
-    b = as_bit_array(bits)
-    n = b.size
+    x = _bits(bits, m + 1)
+    n = x.n
     params = {"pattern_length": m}
     if n < max(min_length, 1 << (m + 2)):
         return _skip(
@@ -280,7 +333,7 @@ def approximate_entropy_test(
         )
 
     def phi(mm: int) -> float:
-        counts = _pattern_counts(b, mm).astype(np.float64)
+        counts = x.pattern_counts(mm).astype(np.float64)
         pi = counts[counts > 0] / n
         return float((pi * np.log(pi)).sum())
 
@@ -292,7 +345,7 @@ def approximate_entropy_test(
 
 def spectral_test(bits, alpha: float = DEFAULT_ALPHA, min_length: int = 1000) -> TestResult:
     """DFT peak count below the 95% threshold versus its expectation."""
-    b = as_bit_array(bits)
+    b = _bits(bits).b
     n = b.size
     if n < min_length:
         return _skip("spectral", f"need at least {min_length} bits, got {n}")
@@ -337,25 +390,26 @@ def run_battery(
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if fail_threshold < 0:
         raise ValueError(f"fail threshold must be >= 0, got {fail_threshold}")
-    b = as_bit_array(bits)
+    # validated once; serial and approximate entropy read patterns up to m + 1
+    x = _Bits(bits, pattern_length + 1)
     results = [
-        monobit_test(b, alpha),
-        block_frequency_test(b, alpha, block_size=block_size),
-        runs_test(b, alpha),
-        longest_run_test(b, alpha),
-        cumulative_sums_test(b, alpha, reverse=False),
-        cumulative_sums_test(b, alpha, reverse=True),
-        serial_test(b, alpha, pattern_length=pattern_length),
-        approximate_entropy_test(b, alpha, pattern_length=pattern_length),
-        spectral_test(b, alpha),
+        monobit_test(x, alpha),
+        block_frequency_test(x, alpha, block_size=block_size),
+        runs_test(x, alpha),
+        longest_run_test(x, alpha),
+        cumulative_sums_test(x, alpha, reverse=False),
+        cumulative_sums_test(x, alpha, reverse=True),
+        serial_test(x, alpha, pattern_length=pattern_length),
+        approximate_entropy_test(x, alpha, pattern_length=pattern_length),
+        spectral_test(x, alpha),
     ]
     if all(r.skipped for r in results):
-        raise EmptyBatteryError(f"{b.size} bits is below the minimum of every battery test")
+        raise EmptyBatteryError(f"{x.n} bits is below the minimum of every battery test")
     failure_count = sum(1 for r in results if r.passed is False)
     p_value_failures = sum(1 for r in results for p in r.p_values if p < alpha)
     verdict = "Pass" if failure_count <= fail_threshold else "Fail"
     return BatteryReport(
-        tuple(results), b.size, alpha, fail_threshold, failure_count, p_value_failures, verdict
+        tuple(results), x.n, alpha, fail_threshold, failure_count, p_value_failures, verdict
     )
 
 

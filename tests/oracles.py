@@ -4,7 +4,9 @@ The register oracles step the hardware register one bit at a time, as the
 circuit would; the decoder oracle looks error patterns up in a table.  They
 are slow and independent of the kernels they check, which is what makes
 them useful as references: tests compare `lfsr_whiten`,
-`compress_stream_matrix` and `bch_decode` against them.
+`compress_stream_matrix` and `bch_decode` against them.  The battery
+oracles compute each statistic over every bit in int64, one test at a time,
+and are checked against the shared passes of `eccrng.stats`.
 """
 
 import itertools
@@ -118,3 +120,33 @@ def syndrome_table_decoder(code):
         return True, bits, pattern.bit_count()
 
     return decode
+
+
+def shift_loop_pattern_counts(b, m):
+    """Counts of the 2^m overlapping m-bit patterns, first bit highest, with
+    circular wrap-around: an int64 shift loop, one pattern length at a time.
+    Defined for len(b) >= m - 1."""
+    n = b.size
+    ext = np.concatenate([b, b[: m - 1]]) if m > 1 else b
+    ext = ext.astype(np.int64)
+    vals = np.zeros(n, dtype=np.int64)
+    for j in range(m):
+        vals = (vals << 1) | ext[j : j + n]
+    return np.bincount(vals, minlength=1 << m)
+
+
+def longest_run_per_block(blocks):
+    """Longest run of ones in each row, unclipped: the distance from each bit
+    back to the last zero before it, maximised over the row."""
+    m = blocks.shape[1]
+    idx = np.arange(m, dtype=np.int64)
+    lastzero = np.where(blocks == 0, idx, np.int64(-1))
+    np.maximum.accumulate(lastzero, axis=1, out=lastzero)
+    return (idx - lastzero).max(axis=1)
+
+
+def two_cumsum_walk_extremes(b):
+    """z of the forward and of the backward +/-1 walk, each from its own
+    int64 cumulative sum."""
+    x = b.astype(np.int64) * 2 - 1
+    return int(np.abs(np.cumsum(x)).max()), int(np.abs(np.cumsum(x[::-1])).max())

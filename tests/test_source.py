@@ -159,9 +159,11 @@ def test_calibrate_current_empirical_settles_near_target():
 
 
 def test_calibrate_current_empirical_noise_floor():
+    # a 1000-bit batch measures the fraction in steps of 1/1000, so none of
+    # the 64 batches comes within 1e-7 of a target halfway between two steps
     model = default_switching_models()[30.0]
     with pytest.raises(CalibrationError):
-        calibrate_current_empirical(model, tol=1e-7, seed=1, batch_bits=1000, max_iter=8)
+        calibrate_current_empirical(model, target=0.5005, tol=1e-7, seed=1, batch_bits=1000)
 
 
 def test_mtj_stream_reproduces_operating_point():

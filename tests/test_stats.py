@@ -6,11 +6,20 @@ import numpy as np
 import pytest
 
 import mpmath as mp
+from oracles import longest_run_per_block, shift_loop_pattern_counts, two_cumsum_walk_extremes
 
 from eccrng.source import bernoulli_stream
 from eccrng.stats import (
+    _LONGEST_RUN_TABLES,
+    DEFAULT_ALPHA,
+    DEFAULT_BLOCK_SIZE,
+    DEFAULT_FAIL_THRESHOLD,
+    DEFAULT_PATTERN_LENGTH,
+    BatteryReport,
     EmptyBatteryError,
+    _Bits,
     _chi2_sf,
+    _longest_run_classes,
     _normal_cdf,
     approximate_entropy_test,
     block_frequency_test,
@@ -154,6 +163,105 @@ def test_longest_run_tier_selection():
     assert (
         longest_run_test(rng.integers(0, 2, 750_000, dtype=np.uint8)).params["block_size"]
         == 10_000
+    )
+
+
+# --- the shared passes against the per-test oracles ---
+
+@pytest.mark.parametrize("top", [1, 2, 3, 4, 5, 6, 9, 17])
+def test_folded_pattern_counts_match_shift_loop(top):
+    # one pass at the top length, folded down to every shorter one; 9 and 17
+    # bits take the uint16 and uint32 passes
+    rng = np.random.default_rng(top)
+    for n in (top + 1, top + 2, 2 * top + 3, 97, 1000, 4099):
+        for p in (0.5, 0.2):
+            b = (rng.random(n) < p).astype(np.uint8)
+            x = _Bits(b, top)
+            for m in range(top + 1):
+                assert np.array_equal(x.pattern_counts(m), shift_loop_pattern_counts(b, m)), (n, m)
+
+
+@pytest.mark.parametrize(
+    "block_size, edges",
+    [(block_size, edges) for _, block_size, edges, _ in _LONGEST_RUN_TABLES] + [(37, (2, 3, 4, 5, 6))],
+)
+def test_longest_run_classes_match_oracle(block_size, edges):
+    rng = np.random.default_rng(block_size)
+    special = [
+        np.ones(block_size),
+        np.zeros(block_size),
+        np.arange(block_size) % 2,
+        1 - np.arange(block_size) % 2,
+    ]
+    # runs of exactly each length near the edges, at the start and the end of a block
+    for length in range(max(edges[0] - 1, 1), edges[-1] + 2):
+        row = np.zeros(block_size)
+        row[:length] = 1
+        special += [row, row[::-1].copy()]
+    random = [(rng.random(block_size) < p) for p in (0.5, 0.8, 0.95) for _ in range(200)]
+    blocks = np.array(special + random, dtype=np.uint8)
+    clipped = np.clip(longest_run_per_block(blocks), edges[0], edges[-1])
+    want = [int((clipped == e).sum()) for e in edges]
+    assert _longest_run_classes(blocks, edges).tolist() == want
+
+
+def test_walk_extremes_match_two_cumsums():
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 3, 100, 1001, 65_537):
+        for b in (
+            np.zeros(n, dtype=np.uint8),
+            np.ones(n, dtype=np.uint8),
+            *((rng.random(n) < p).astype(np.uint8) for p in (0.5, 0.1, 0.9)),
+        ):
+            assert _Bits(b).walk_extremes == two_cumsum_walk_extremes(b), n
+
+
+def _report_test_by_test(
+    bits,
+    alpha=DEFAULT_ALPHA,
+    block_size=DEFAULT_BLOCK_SIZE,
+    pattern_length=DEFAULT_PATTERN_LENGTH,
+):
+    """The battery report built from the nine public tests, each run alone."""
+    results = (
+        monobit_test(bits, alpha),
+        block_frequency_test(bits, alpha, block_size=block_size),
+        runs_test(bits, alpha),
+        longest_run_test(bits, alpha),
+        cumulative_sums_test(bits, alpha, reverse=False),
+        cumulative_sums_test(bits, alpha, reverse=True),
+        serial_test(bits, alpha, pattern_length=pattern_length),
+        approximate_entropy_test(bits, alpha, pattern_length=pattern_length),
+        spectral_test(bits, alpha),
+    )
+    failures = sum(1 for r in results if r.passed is False)
+    return BatteryReport(
+        results,
+        bits.size,
+        alpha,
+        DEFAULT_FAIL_THRESHOLD,
+        failures,
+        sum(1 for r in results for p in r.p_values if p < alpha),
+        "Pass" if failures <= DEFAULT_FAIL_THRESHOLD else "Fail",
+    )
+
+
+@pytest.mark.parametrize(
+    "n, fill, kwargs",
+    # either side of each longest-run tier boundary
+    [(n, None, {}) for n in (127, 128, 6271, 6272, 749_999, 750_000)]
+    # constant input: z = n, and every longest run is clipped at an end
+    + [(n, fill, {}) for n in (128, 6272, 750_000) for fill in (0, 1)]
+    + [(n, None, {"pattern_length": m}) for n in (127, 20_011) for m in (2, 3, 4, 5)]
+    + [(20_011, None, {"alpha": 0.05, "block_size": 100})],
+)
+def test_battery_matches_public_tests_one_by_one(n, fill, kwargs):
+    if fill is None:
+        bits = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
+    else:
+        bits = np.full(n, fill, dtype=np.uint8)
+    assert render_report(run_battery(bits, **kwargs)) == render_report(
+        _report_test_by_test(bits, **kwargs)
     )
 
 
