@@ -26,8 +26,6 @@ __all__ = [
     "MSB_FIRST",
     "LSB_FIRST",
     "RunManifest",
-    "pack_bits",
-    "unpack_bits",
     "encode_bits",
     "decode_bits",
     "write_bit_file",
@@ -47,32 +45,11 @@ LSB_FIRST = "lsb"
 _ASCII_WRAP = 64  # characters per line when writing ascii streams
 
 
-def pack_bits(bits, bit_order: str = MSB_FIRST) -> bytes:
-    b = as_bit_array(bits)
-    if bit_order not in (MSB_FIRST, LSB_FIRST):
-        raise ValueError(f"unknown bit order {bit_order!r}")
-    order = "big" if bit_order == MSB_FIRST else "little"
-    return np.packbits(b, bitorder=order).tobytes()
-
-
-def unpack_bits(payload: bytes, bit_count: int | None = None, bit_order: str = MSB_FIRST) -> np.ndarray:
-    if bit_order not in (MSB_FIRST, LSB_FIRST):
-        raise ValueError(f"unknown bit order {bit_order!r}")
-    if bit_count is None:
-        bit_count = 8 * len(payload)
-    # a negative count would make unpackbits drop bits off the end
-    if not 0 <= bit_count <= 8 * len(payload):
-        raise ValueError(f"bit count {bit_count} outside the payload's 0..{8 * len(payload)} bits")
-    order = "big" if bit_order == MSB_FIRST else "little"
-    raw = np.frombuffer(payload, dtype=np.uint8)
-    return np.unpackbits(raw, count=bit_count, bitorder=order)
-
-
-def encode_bits(bits, encoding: str = PACKED, bit_order: str = MSB_FIRST) -> bytes:
+def encode_bits(bits, encoding: str = PACKED) -> bytes:
     """The file payload of the stream in the given encoding."""
     b = as_bit_array(bits)
     if encoding == PACKED:
-        return pack_bits(b, bit_order)
+        return np.packbits(b).tobytes()
     if encoding != ASCII:
         raise ValueError(f"unknown encoding {encoding!r}")
     if not b.size:
@@ -88,9 +65,20 @@ def decode_bits(
     bit_count: int | None = None,
     bit_order: str = MSB_FIRST,
 ) -> np.ndarray:
-    """The first bit_count bits of a file payload (default: all of them)."""
+    """The first bit_count bits of a file payload (default: all of them).
+
+    bit_order says which end of each packed byte holds its first bit.
+    """
     if encoding == PACKED:
-        return unpack_bits(payload, bit_count, bit_order)
+        if bit_order not in (MSB_FIRST, LSB_FIRST):
+            raise ValueError(f"unknown bit order {bit_order!r}")
+        if bit_count is None:
+            bit_count = 8 * len(payload)
+        # a negative count would make unpackbits drop bits off the end
+        if not 0 <= bit_count <= 8 * len(payload):
+            raise ValueError(f"bit count {bit_count} outside the payload's 0..{8 * len(payload)} bits")
+        order = "big" if bit_order == MSB_FIRST else "little"
+        return np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=bit_count, bitorder=order)
     if encoding != ASCII:
         raise ValueError(f"unknown encoding {encoding!r}")
     try:
@@ -105,22 +93,17 @@ def decode_bits(
     return bits[:bit_count]
 
 
-def write_bit_file(path: str, bits, encoding: str = PACKED, bit_order: str = MSB_FIRST) -> bytes:
+def write_bit_file(path: str, bits, encoding: str = PACKED) -> bytes:
     """Write the stream; returns the payload bytes actually written."""
-    payload = encode_bits(bits, encoding, bit_order)
+    payload = encode_bits(bits, encoding)
     with open(path, "wb") as fh:
         fh.write(payload)
     return payload
 
 
-def read_bit_file(
-    path: str,
-    encoding: str = PACKED,
-    bit_count: int | None = None,
-    bit_order: str = MSB_FIRST,
-) -> np.ndarray:
+def read_bit_file(path: str, encoding: str = PACKED, bit_count: int | None = None) -> np.ndarray:
     with open(path, "rb") as fh:
-        return decode_bits(fh.read(), encoding, bit_count, bit_order)
+        return decode_bits(fh.read(), encoding, bit_count)
 
 
 def sniff_encoding(payload: bytes) -> str:

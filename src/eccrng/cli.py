@@ -33,7 +33,7 @@ from .source import (
     switching_probability,
 )
 from .whiten import (
-    DEFAULT_INJECTION,
+    FEEDBACK_INJECTION,
     EccStage,
     LfsrSpec,
     LfsrStage,
@@ -487,7 +487,7 @@ def _add_stage_flags(p: _Parser) -> None:
                    metavar="N,K,T",
                    help="code compression stage, e.g. 31,16,3 (repeatable, order matters)")
     p.add_argument("--lfsr-seed", type=int, default=1, help="register preload for --lfsr stages")
-    p.add_argument("--injection", choices=["feedback", "output-xor"], default=DEFAULT_INJECTION)
+    p.add_argument("--injection", choices=["feedback", "output-xor"], default=FEEDBACK_INJECTION)
 
 
 def build_parser() -> _Parser:

@@ -28,7 +28,6 @@ __all__ = [
     "DecodeResult",
     "code_registry",
     "lookup_code",
-    "compress_block",
     "compress_stream_matrix",
     "bch_encode",
     "bch_decode",
@@ -77,11 +76,6 @@ class BchCode:
             )
         object.__setattr__(self, "generator", g)
 
-    @property
-    def compression_ratio(self) -> float:
-        """Output bits per input bit, exactly k/n."""
-        return self.k / self.n
-
     def __str__(self) -> str:
         return f"({self.n},{self.k},{self.t})"
 
@@ -123,14 +117,6 @@ def _band_offsets(code: BchCode) -> tuple[int, ...]:
     deg = code.n - code.k
     g = code.generator
     return tuple(d for d in range(deg + 1) if (g >> (deg - d)) & 1)
-
-
-def compress_block(code: BchCode, block) -> np.ndarray:
-    """Compress one n-bit block to k bits: z = G y."""
-    y = as_bit_array(block)
-    if y.size != code.n:
-        raise ValueError(f"block length {y.size} != n = {code.n}")
-    return compress_stream_matrix(code, y)
 
 
 def compress_stream_matrix(code: BchCode, bits) -> np.ndarray:

@@ -25,7 +25,6 @@ __all__ = [
     "SourceConfig",
     "PRESETS",
     "load_switching_models",
-    "default_switching_models",
     "switching_probability",
     "calibrate_current",
     "calibrate_current_empirical",
@@ -122,10 +121,6 @@ def load_switching_models(path: str | None = None) -> dict[float, SwitchingModel
             text = fh.read()
         origin = path
     return _parse_model_text(text, origin)
-
-
-def default_switching_models() -> dict[float, SwitchingModel]:
-    return load_switching_models(None)
 
 
 def calibrate_current(model: SwitchingModel, target: float = 0.5, tol: float = 1e-9) -> float:

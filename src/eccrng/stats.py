@@ -157,8 +157,8 @@ def monobit_test(bits, alpha: float = DEFAULT_ALPHA, min_length: int = 100) -> T
     """Overall balance of ones and zeros: P = erfc(|S| / sqrt(2n))."""
     b = _bits(bits).b
     n = b.size
-    if n < min_length:
-        return _skip("monobit", f"need at least {min_length} bits, got {n}")
+    if n < max(min_length, 1):
+        return _skip("monobit", f"need at least {max(min_length, 1)} bits, got {n}")
     s = 2 * int(b.sum()) - n
     p = math.erfc(abs(s) / math.sqrt(2.0 * n))
     return _result("monobit", [p], alpha)
@@ -190,16 +190,17 @@ def block_frequency_test(
 def runs_test(bits, alpha: float = DEFAULT_ALPHA, min_length: int = 100) -> TestResult:
     """Alternation count against the expectation for the observed bias.
 
-    Applicable only when the ones-fraction is within 2/sqrt(n) of 1/2;
-    outside that band the result is a fail with P = 0.
+    Applicable only when the ones-fraction is within 2/sqrt(n) of 1/2 and
+    both bits occur; otherwise the result is a fail with P = 0.
     """
     b = _bits(bits).b
     n = b.size
-    if n < min_length:
-        return _skip("runs", f"need at least {min_length} bits, got {n}")
+    if n < max(min_length, 1):
+        return _skip("runs", f"need at least {max(min_length, 1)} bits, got {n}")
     pi = float(b.mean())
     tau = 2.0 / math.sqrt(n)
-    if abs(pi - 0.5) >= tau:
+    # below 16 bits tau exceeds 1/2, and a constant input must still fail
+    if abs(pi - 0.5) >= min(tau, 0.5):
         return TestResult("runs", (0.0,), False, {"precondition_failed": True, "pi": pi})
     v = 1 + int(np.count_nonzero(b[1:] != b[:-1]))
     num = abs(v - 2.0 * n * pi * (1.0 - pi))
@@ -263,8 +264,8 @@ def cumulative_sums_test(
     x = _bits(bits)
     n = x.n
     name = "cumulative_sums_backward" if reverse else "cumulative_sums_forward"
-    if n < min_length:
-        return _skip(name, f"need at least {min_length} bits, got {n}")
+    if n < max(min_length, 1):
+        return _skip(name, f"need at least {max(min_length, 1)} bits, got {n}")
     z_forward, z_backward = x.walk_extremes
     z = z_backward if reverse else z_forward
     sqn = math.sqrt(n)
@@ -347,8 +348,8 @@ def spectral_test(bits, alpha: float = DEFAULT_ALPHA, min_length: int = 1000) ->
     """DFT peak count below the 95% threshold versus its expectation."""
     b = _bits(bits).b
     n = b.size
-    if n < min_length:
-        return _skip("spectral", f"need at least {min_length} bits, got {n}")
+    if n < max(min_length, 1):
+        return _skip("spectral", f"need at least {max(min_length, 1)} bits, got {n}")
     x = b.astype(np.float64) * 2.0 - 1.0
     mags = np.abs(np.fft.rfft(x))[: n // 2]
     threshold = math.sqrt(math.log(1.0 / 0.05) * n)

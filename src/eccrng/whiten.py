@@ -20,35 +20,19 @@ from .gf2 import as_bit_array
 __all__ = [
     "FEEDBACK_INJECTION",
     "OUTPUT_XOR_INJECTION",
-    "DEFAULT_INJECTION",
-    "SHIPPED_TAP_SETS",
     "LfsrSpec",
     "RejectionStage",
     "LfsrStage",
     "EccStage",
     "PipelineSpec",
     "von_neumann",
-    "expected_rejection_rate",
     "lfsr_whiten",
-    "lfsr_free_run_period",
     "run_pipeline",
 ]
 
 # Injection modes: where the data stream couples into the register.
 FEEDBACK_INJECTION = "feedback"      # vacated cell <- feedback XOR input
 OUTPUT_XOR_INJECTION = "output-xor"  # free-running register; output <- expelled XOR input
-DEFAULT_INJECTION = FEEDBACK_INJECTION
-
-# Tap sets shipped with the toolkit; every one is maximal-length
-# (free-run cycle 2^N - 1 from any nonzero seed).
-SHIPPED_TAP_SETS: tuple[tuple[int, ...], ...] = (
-    (1, 0),
-    (2, 1, 0),
-    (3, 1, 0),
-    (4, 1, 0),
-    (7, 1, 0),
-    (7, 3, 0),
-)
 
 
 def von_neumann(bits) -> np.ndarray:
@@ -62,13 +46,6 @@ def von_neumann(bits) -> np.ndarray:
     first = b[0 : 2 * npairs : 2]
     second = b[1 : 2 * npairs : 2]
     return first[first != second]
-
-
-def expected_rejection_rate(p: float) -> float:
-    """Expected surviving fraction per input bit for i.i.d. Bernoulli(p): p(1-p)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
-    return p * (1.0 - p)
 
 
 @dataclass(frozen=True)
@@ -89,15 +66,6 @@ class LfsrSpec:
     def width(self) -> int:
         return self.taps[0]
 
-    @property
-    def feedback_mask(self) -> int:
-        # cell j maps to bit j-1 of the state integer
-        m = 0
-        for t in self.taps:
-            if t > 0:
-                m |= 1 << (t - 1)
-        return m
-
 
 def _check_seed(spec: LfsrSpec, seed: int) -> int:
     seed = int(seed)
@@ -109,7 +77,7 @@ def _check_seed(spec: LfsrSpec, seed: int) -> int:
     return seed
 
 
-def lfsr_whiten(spec: LfsrSpec, seed: int, bits, injection: str = DEFAULT_INJECTION) -> np.ndarray:
+def lfsr_whiten(spec: LfsrSpec, seed: int, bits, injection: str = FEEDBACK_INJECTION) -> np.ndarray:
     """Run the register over the stream; one output bit per input bit.
 
     seed bit j-1 preloads cell j.  Per step: feedback = XOR of tapped cells;
@@ -165,22 +133,6 @@ def lfsr_whiten(spec: LfsrSpec, seed: int, bits, injection: str = DEFAULT_INJECT
     return u
 
 
-def lfsr_free_run_period(spec: LfsrSpec, seed: int) -> int:
-    """Steps until the state first repeats with the input held at zero."""
-    state = start = _check_seed(spec, seed)
-    fbmask = spec.feedback_mask
-    statemask = (1 << spec.width) - 1
-    steps = 0
-    while True:
-        fb = (state & fbmask).bit_count() & 1
-        state = ((state << 1) | fb) & statemask
-        steps += 1
-        if state == start:
-            return steps
-        if steps > statemask + 1:  # cannot happen for an invertible update
-            raise RuntimeError("free-run cycle search did not close")
-
-
 # Each stage maps a bit array to a bit array with apply(bits) and names
 # itself with label, the name used in manifests and bench output.
 
@@ -201,7 +153,7 @@ class RejectionStage:
 class LfsrStage:
     spec: LfsrSpec
     seed: int = 1
-    injection: str = DEFAULT_INJECTION
+    injection: str = FEEDBACK_INJECTION
 
     def __post_init__(self):
         _check_seed(self.spec, self.seed)

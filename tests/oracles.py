@@ -4,7 +4,8 @@ The register oracles step the hardware register one bit at a time, as the
 circuit would; the decoder oracle looks error patterns up in a table.  They
 are slow and independent of the kernels they check, which is what makes
 them useful as references: tests compare `lfsr_whiten`,
-`compress_stream_matrix` and `bch_decode` against them.  The battery
+`compress_stream_matrix` and `bch_decode` against them, and count the
+free-run period of each maximal-length tap set.  The battery
 oracles compute each statistic over every bit in int64, one test at a time,
 and are checked against the shared passes of `eccrng.stats`.
 """
@@ -16,6 +17,34 @@ import numpy as np
 from eccrng.gf2 import as_bit_array
 from eccrng.whiten import FEEDBACK_INJECTION
 
+# Maximal-length tap sets: each free-runs through all 2^N - 1 nonzero states
+# from any nonzero seed.
+MAXIMAL_TAP_SETS = (
+    (1, 0),
+    (2, 1, 0),
+    (3, 1, 0),
+    (4, 1, 0),
+    (7, 1, 0),
+    (7, 3, 0),
+)
+
+
+def feedback_mask(spec):
+    """The cell taps as a state mask: cell j is bit j-1 of the state integer."""
+    return sum(1 << (t - 1) for t in spec.taps if t > 0)
+
+
+def lfsr_free_run_period(spec, seed):
+    """Steps until the register's state first repeats with the input held at zero."""
+    fbmask = feedback_mask(spec)
+    statemask = (1 << spec.width) - 1
+    state = seed
+    for steps in range(1, statemask + 2):
+        state = ((state << 1) | ((state & fbmask).bit_count() & 1)) & statemask
+        if state == seed:
+            return steps
+    raise AssertionError(f"the free run from seed {seed} does not return to it")
+
 
 def serial_lfsr_whiten(spec, seed, bits, injection=FEEDBACK_INJECTION):
     """The whitening register stepped one input bit at a time.
@@ -26,7 +55,7 @@ def serial_lfsr_whiten(spec, seed, bits, injection=FEEDBACK_INJECTION):
     into the expelled bit.
     """
     state = seed
-    fbmask = spec.feedback_mask
+    fbmask = feedback_mask(spec)
     statemask = (1 << spec.width) - 1
     oldest = spec.width - 1
     out = []

@@ -12,47 +12,50 @@ from eccrng.bitio import (
     PACKED,
     RunManifest,
     decode_bits,
+    encode_bits,
     load_manifest,
     manifest_for_file,
     manifest_path_for,
-    pack_bits,
     read_bit_file,
     sniff_encoding,
-    unpack_bits,
     write_bit_file,
 )
 
 
 def test_pack_msb_first():
-    assert pack_bits("10000000") == b"\x80"
-    assert pack_bits("1") == b"\x80"  # padded with zeros on the right
-    assert pack_bits("0000000011111111") == b"\x00\xff"
+    assert encode_bits("10000000") == b"\x80"
+    assert encode_bits("1") == b"\x80"  # padded with zeros on the right
+    assert encode_bits("0000000011111111") == b"\x00\xff"
 
 
 def test_pack_lsb_first():
-    assert pack_bits("10000000", LSB_FIRST) == b"\x01"
+    # the first bit of an lsb-first byte is its least significant bit
+    bits = [1, 0, 0, 0, 0, 0, 0, 0]
+    payload = np.packbits(np.array(bits, dtype=np.uint8), bitorder="little").tobytes()
+    assert payload == b"\x01"
+    assert decode_bits(payload, PACKED, bit_order=LSB_FIRST).tolist() == bits
 
 
 def test_unpack_respects_bit_count():
-    assert unpack_bits(b"\x80", 1).tolist() == [1]
-    assert unpack_bits(b"\x80").tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
+    assert decode_bits(b"\x80", PACKED, 1).tolist() == [1]
+    assert decode_bits(b"\x80").tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
     with pytest.raises(ValueError):
-        unpack_bits(b"\x80", 9)
+        decode_bits(b"\x80", PACKED, 9)
 
 
 def test_negative_bit_count_is_rejected_not_a_shorter_read():
     # numpy reads a negative count as "drop that many bits from the end"
     with pytest.raises(ValueError):
-        unpack_bits(b"\xff", -3)
-    with pytest.raises(ValueError):
         decode_bits(b"0101101\n", ASCII, -3)
     with pytest.raises(ValueError):
         decode_bits(b"\xff", PACKED, -3)
+    with pytest.raises(ValueError):
+        decode_bits(b"\xff", PACKED, -3, LSB_FIRST)
 
 
 def test_unpack_rejects_unknown_order():
     with pytest.raises(ValueError):
-        unpack_bits(b"\x80", 8, "middle")
+        decode_bits(b"\x80", PACKED, 8, "middle")
 
 
 @pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 64, 65, 1000])
@@ -66,15 +69,12 @@ def test_file_round_trip(tmp_path, length, encoding):
     assert np.array_equal(got, bits)
 
 
-def test_lsb_round_trip(tmp_path):
+def test_lsb_round_trip():
     bits = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
-    path = str(tmp_path / "lsb.bits")
-    write_bit_file(path, bits, PACKED, LSB_FIRST)
-    got = read_bit_file(path, PACKED, bit_count=5, bit_order=LSB_FIRST)
-    assert np.array_equal(got, bits)
+    payload = np.packbits(bits, bitorder="little").tobytes()
+    assert np.array_equal(decode_bits(payload, PACKED, 5, LSB_FIRST), bits)
     # wrong order reads different bits
-    other = read_bit_file(path, PACKED, bit_count=5, bit_order=MSB_FIRST)
-    assert not np.array_equal(other, bits)
+    assert not np.array_equal(decode_bits(payload, PACKED, 5, MSB_FIRST), bits)
 
 
 def test_ascii_files_wrap_and_ignore_whitespace(tmp_path):

@@ -2,6 +2,8 @@
 
 import json
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,9 @@ import pytest
 from eccrng.bitio import load_manifest, manifest_path_for, read_bit_file
 from eccrng.cli import main
 from eccrng.stats import parse_report
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(*argv):
@@ -351,3 +356,18 @@ def test_ascii_encoding_flows_through(tmp_path):
     m = load_manifest(manifest_path_for(str(out)))
     assert m.params["input_encoding"] == "ascii"
     assert m.output_bits == 600
+
+
+def test_readme_report_is_what_its_commands_print(tmp_path, capsys, monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    argvs = {line.split()[1]: shlex.split(line)[1:]
+             for line in text.splitlines() if line.startswith("eccrng ")}
+    report = text.split("## Battery report format", 1)[1].split("```\n", 2)[1]
+    monkeypatch.delenv("ECCRNG_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert run(*argvs["generate"]) == 0
+    assert run(*argvs["postprocess"]) == 0
+    capsys.readouterr()
+    assert argvs["test"] == ["test", "clean.bin", "--allow-short"]
+    assert run(*argvs["test"]) == 0
+    assert capsys.readouterr().out == report

@@ -13,7 +13,6 @@ from eccrng.codes import (
     bch_decode,
     bch_encode,
     code_registry,
-    compress_block,
     compress_stream_matrix,
     lookup_code,
     predicted_output_bias,
@@ -78,7 +77,7 @@ def _compression_matrix(code):
     for j in range(code.n):
         unit = np.zeros(code.n, dtype=np.uint8)
         unit[j] = 1
-        columns.append(compress_block(code, unit))
+        columns.append(compress_stream_matrix(code, unit))
     return np.stack(columns, axis=1)
 
 
@@ -106,13 +105,8 @@ def test_compress_block_unit_and_ones():
     code = lookup_code(7, 4, 1)
     e0 = np.zeros(7, dtype=np.uint8)
     e0[0] = 1
-    assert compress_block(code, e0).tolist() == [1, 0, 0, 0]
-    assert compress_block(code, np.ones(7, dtype=np.uint8)).tolist() == [1, 1, 1, 1]
-
-
-def test_compress_block_length_check():
-    with pytest.raises(ValueError):
-        compress_block(lookup_code(7, 4, 1), np.zeros(8, dtype=np.uint8))
+    assert compress_stream_matrix(code, e0).tolist() == [1, 0, 0, 0]
+    assert compress_stream_matrix(code, np.ones(7, dtype=np.uint8)).tolist() == [1, 1, 1, 1]
 
 
 def test_stream_compression_drops_partial_tail():
@@ -176,7 +170,7 @@ def test_encode_is_the_adjoint_of_compress(row):
         m = rng.integers(0, 2, code.k, dtype=np.uint8)
         y = rng.integers(0, 2, code.n, dtype=np.uint8)
         lhs = int(bch_encode(code, m) @ y) & 1
-        rhs = int(m @ compress_block(code, y)) & 1
+        rhs = int(m @ compress_stream_matrix(code, y)) & 1
         assert lhs == rhs
 
 
@@ -303,8 +297,3 @@ def test_predicted_output_bias_range_check():
         predicted_output_bias(code, -0.1)
     with pytest.raises(ValueError):
         predicted_output_bias(code, 1.5)
-
-
-def test_compression_ratio_property():
-    assert lookup_code(31, 21, 2).compression_ratio == pytest.approx(21 / 31)
-    assert lookup_code(127, 113, 2).compression_ratio == pytest.approx(113 / 127)

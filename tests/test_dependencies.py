@@ -1,4 +1,5 @@
-"""numpy is the only third-party package the runtime imports or declares."""
+"""numpy is the only third-party package the runtime imports or declares, and
+every public name has a user outside the tests."""
 
 import ast
 import re
@@ -7,8 +8,20 @@ from pathlib import Path
 
 import pytest
 
+import eccrng
+
 ROOT = Path(__file__).resolve().parent.parent
 ALLOWED = {"numpy"}
+
+# Public names that neither the package nor the benchmark calls: the library
+# entry points behind the paper's claims.
+CLAIM_ENTRY_POINTS = {
+    "bch_encode",  # the codec whose generator the compressor reuses
+    "bch_decode",
+    "code_registry",  # the shipped code table
+    "parse_report",  # the exact inverse of render_report
+    "predicted_output_bias",  # bias e becomes e^w through the compressor
+}
 
 
 def _top_level_imports(path: Path) -> set[str]:
@@ -34,3 +47,22 @@ def test_pyproject_declares_only_numpy():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         deps = tomllib.load(fh)["project"]["dependencies"]
     assert {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in deps} == ALLOWED
+
+
+def _loaded_names(paths) -> set[str]:
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    public = set(eccrng.__all__)
+    assert CLAIM_ENTRY_POINTS <= public
+    users = [*(ROOT / "src" / "eccrng").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    unused = public - _loaded_names(users) - CLAIM_ENTRY_POINTS
+    assert not unused, f"public names only the tests use: {sorted(unused)}"

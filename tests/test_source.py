@@ -13,7 +13,6 @@ from eccrng.source import (
     bernoulli_stream,
     calibrate_current,
     calibrate_current_empirical,
-    default_switching_models,
     generate_stream,
     load_switching_models,
     markov_stream,
@@ -92,7 +91,7 @@ def test_correlation_lowers_von_neumann_yield():
 
 
 def test_switching_probability_center_and_monotonicity():
-    models = default_switching_models()
+    models = load_switching_models()
     assert sorted(models) == [10.0, 30.0]
     for model in models.values():
         assert switching_probability(model, model.i50_ua) == pytest.approx(0.5)
@@ -102,7 +101,7 @@ def test_switching_probability_center_and_monotonicity():
 
 
 def test_switching_probability_saturates_without_overflow():
-    model = default_switching_models()[30.0]
+    model = load_switching_models()[30.0]
     width = model.slope_scale_ua
     assert switching_probability(model, model.i50_ua - 1e6 * width) == 0.0
     assert switching_probability(model, model.i50_ua + 1e6 * width) == 1.0
@@ -110,7 +109,7 @@ def test_switching_probability_saturates_without_overflow():
 
 
 def test_shorter_pulse_has_shallower_curve():
-    models = default_switching_models()
+    models = load_switching_models()
     fast, slow = models[10.0], models[30.0]
     assert fast.slope_scale_ua > slow.slope_scale_ua
     for delta in (5.0, 10.0, 20.0):
@@ -134,14 +133,14 @@ def test_switching_model_validation():
 
 
 def test_calibrate_current_hits_target_on_curve():
-    model = default_switching_models()[30.0]
+    model = load_switching_models()[30.0]
     for target in (0.276, 0.5, 0.511, 0.95):
         current = calibrate_current(model, target=target)
         assert switching_probability(model, current) == pytest.approx(target, abs=1e-8)
 
 
 def test_calibrate_current_validation_and_failure():
-    model = default_switching_models()[30.0]
+    model = load_switching_models()[30.0]
     with pytest.raises(ValueError):
         calibrate_current(model, target=0.0)
     with pytest.raises(ValueError):
@@ -153,7 +152,7 @@ def test_calibrate_current_validation_and_failure():
 
 
 def test_calibrate_current_empirical_settles_near_target():
-    model = default_switching_models()[30.0]
+    model = load_switching_models()[30.0]
     current = calibrate_current_empirical(model, target=0.276, tol=5e-3, seed=1)
     assert switching_probability(model, current) == pytest.approx(0.276, abs=0.01)
 
@@ -161,14 +160,14 @@ def test_calibrate_current_empirical_settles_near_target():
 def test_calibrate_current_empirical_noise_floor():
     # a 1000-bit batch measures the fraction in steps of 1/1000, so none of
     # the 64 batches comes within 1e-7 of a target halfway between two steps
-    model = default_switching_models()[30.0]
+    model = load_switching_models()[30.0]
     with pytest.raises(CalibrationError):
         calibrate_current_empirical(model, target=0.5005, tol=1e-7, seed=1, batch_bits=1000)
 
 
 def test_mtj_stream_reproduces_operating_point():
     p, t_write = PRESETS["data-c"]
-    model = default_switching_models()[t_write]
+    model = load_switching_models()[t_write]
     current = calibrate_current(model, target=p)
     bits = mtj_stream(model, current, 7, 1_000_000)
     assert float(bits.mean()) == pytest.approx(p, abs=0.0015)
@@ -206,7 +205,7 @@ def test_generate_stream_dispatch():
     assert b.size == 100
     m = generate_stream(SourceConfig("markov", 1, 100, p=0.5, rho=0.2))
     assert m.size == 100
-    model = default_switching_models()[10.0]
+    model = load_switching_models()[10.0]
     j = generate_stream(SourceConfig("mtj", 1, 100, model=model, current_ua=model.i50_ua))
     assert j.size == 100
     with pytest.raises(ValueError):

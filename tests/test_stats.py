@@ -279,6 +279,20 @@ def test_short_input_skips():
     assert "50" in r.skip_reason
 
 
+@pytest.mark.parametrize("bits", [""] + [c * n for c in "01" for n in range(1, 16)])
+def test_no_test_raises_below_the_default_minimums(bits):
+    # an empty input is a skip; a constant one fails the runs precondition
+    tests = (monobit_test, block_frequency_test, runs_test, cumulative_sums_test,
+             serial_test, approximate_entropy_test, spectral_test)
+    results = [test(bits, min_length=0) for test in tests]
+    results.append(cumulative_sums_test(bits, reverse=True, min_length=0))
+    runs = results[2]
+    if bits:
+        assert runs.passed is False and runs.params["precondition_failed"]
+    else:
+        assert all(r.skipped for r in results)
+
+
 def test_block_frequency_rejects_bad_block_size():
     with pytest.raises(ValueError):
         block_frequency_test("01" * 100, block_size=0)

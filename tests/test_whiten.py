@@ -4,31 +4,28 @@ import random
 
 import numpy as np
 import pytest
-from oracles import serial_lfsr_whiten
+from oracles import MAXIMAL_TAP_SETS, feedback_mask, lfsr_free_run_period, serial_lfsr_whiten
 
 from eccrng.codes import lookup_code
 from eccrng.source import bernoulli_stream
 from eccrng.whiten import (
     FEEDBACK_INJECTION,
     OUTPUT_XOR_INJECTION,
-    SHIPPED_TAP_SETS,
     EccStage,
     LfsrSpec,
     LfsrStage,
     PipelineSpec,
     RejectionStage,
-    expected_rejection_rate,
-    lfsr_free_run_period,
     lfsr_whiten,
     run_pipeline,
     von_neumann,
 )
 
 
-# shipped sets, two- and four-tap registers, a smallest cell tap above 1,
-# a register wider than a machine word and a 1000-cell one whose smallest
-# cell tap is 37
-ORACLE_TAP_SETS = SHIPPED_TAP_SETS + (
+# maximal-length sets, two- and four-tap registers, a smallest cell tap
+# above 1, a register wider than a machine word and a 1000-cell one whose
+# smallest cell tap is 37
+ORACLE_TAP_SETS = MAXIMAL_TAP_SETS + (
     (5, 3, 0),
     (7, 6, 5, 4, 0),
     (9, 4, 0),
@@ -52,7 +49,7 @@ def test_von_neumann_drops_trailing_odd_bit():
 def test_von_neumann_yield_matches_p_times_q(p):
     bits = bernoulli_stream(p, 11, 1_000_000)
     got = von_neumann(bits).size / bits.size
-    assert got == pytest.approx(expected_rejection_rate(p), abs=0.003)
+    assert got == pytest.approx(p * (1 - p), abs=0.003)
 
 
 def test_von_neumann_output_is_unbiased_from_biased_input():
@@ -61,19 +58,10 @@ def test_von_neumann_output_is_unbiased_from_biased_input():
     assert abs(float(out.mean()) - 0.5) < 0.005
 
 
-def test_expected_rejection_rate_values_and_range():
-    assert expected_rejection_rate(0.5) == 0.25
-    assert expected_rejection_rate(0.276) == pytest.approx(0.199824)
-    with pytest.raises(ValueError):
-        expected_rejection_rate(-0.1)
-    with pytest.raises(ValueError):
-        expected_rejection_rate(1.1)
-
-
 def test_lfsr_spec_normalizes_and_validates():
     assert LfsrSpec((0, 1, 3)).taps == (3, 1, 0)
     assert LfsrSpec((3, 1, 0)).width == 3
-    assert LfsrSpec((3, 1, 0)).feedback_mask == 0b101
+    assert feedback_mask(LfsrSpec((3, 1, 0))) == 0b101
     with pytest.raises(ValueError):
         LfsrSpec((3, 1))  # no input point
     with pytest.raises(ValueError):
@@ -186,7 +174,7 @@ def test_whitening_is_causal(taps):
             assert np.array_equal(lfsr_whiten(spec, 5, bits[:cut], mode), full[:cut])
 
 
-@pytest.mark.parametrize("taps", SHIPPED_TAP_SETS, ids=str)
+@pytest.mark.parametrize("taps", MAXIMAL_TAP_SETS, ids=str)
 def test_shipped_tap_sets_are_maximal_from_seed_one(taps):
     spec = LfsrSpec(taps)
     assert lfsr_free_run_period(spec, 1) == (1 << spec.width) - 1
