@@ -7,10 +7,9 @@ error correction share one generator polynomial per code, so the same
 registry drives both.
 """
 
-from . import bitio, codes, gf2, source, stats, whiten
+from . import bitio, codes, source, stats, whiten
 from .bitio import *
 from .codes import *
-from .gf2 import *
 from .source import *
 from .stats import *
 from .whiten import *
@@ -21,7 +20,6 @@ __version__ = "0.1.0"
 __all__ = [
     *bitio.__all__,
     *codes.__all__,
-    *gf2.__all__,
     *source.__all__,
     *stats.__all__,
     *whiten.__all__,

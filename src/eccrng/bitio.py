@@ -1,4 +1,4 @@
-"""Bit-stream file formats and run manifests.
+"""Bit arrays, bit-stream file formats and run manifests.
 
 packed: raw bytes, 8 bits per byte, first bit of the stream in the most
 significant bit of the first byte; the final byte is zero-padded and the
@@ -18,9 +18,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .gf2 import as_bit_array
-
 __all__ = [
+    "as_bit_array",
     "PACKED",
     "ASCII",
     "MSB_FIRST",
@@ -43,6 +42,33 @@ MSB_FIRST = "msb"
 LSB_FIRST = "lsb"
 
 _ASCII_WRAP = 64  # characters per line when writing ascii streams
+# what an ascii file may hold: 0, 1 and ASCII str.isspace (\v, \f, \x1c-\x1f too)
+_ASCII_BYTES = bytes(c for c in range(128) if chr(c) in "01" or chr(c).isspace())
+
+
+def as_bit_array(bits) -> np.ndarray:
+    """Normalize a bit sequence (iterable / text / ndarray) to a uint8 array of 0/1."""
+    if isinstance(bits, str):
+        codes = np.frombuffer(bits.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        is_digit = (codes == ord("0")) | (codes == ord("1"))
+        if not is_digit.all():
+            # whitespace is whatever str.isspace accepts; only the distinct
+            # other characters are checked one by one
+            if not all(chr(c).isspace() for c in np.unique(codes[~is_digit]).tolist()):
+                raise ValueError("bit string may contain only 0, 1 and whitespace")
+            codes = codes[is_digit]
+        return (codes - ord("0")).astype(np.uint8)
+    a = np.asarray(bits)
+    if a.dtype != np.uint8:
+        # checked before the cast, which would wrap 256 to 0 and truncate 1.9 to 1
+        if not ((a == 0) | (a == 1)).all():
+            raise ValueError("bit sequence entries must be 0 or 1")
+        a = a.astype(np.uint8)
+    if a.ndim != 1:
+        raise ValueError(f"bit sequence must be one-dimensional, got shape {a.shape}")
+    if a.size and a.max() > 1:
+        raise ValueError("bit sequence entries must be 0 or 1")
+    return a
 
 
 def encode_bits(bits, encoding: str = PACKED) -> bytes:
@@ -109,9 +135,7 @@ def read_bit_file(path: str, encoding: str = PACKED, bit_count: int | None = Non
 def sniff_encoding(payload: bytes) -> str:
     """Best-effort guess: a payload whose first 4096 bytes are 0/1/whitespace is ascii."""
     head = payload[:4096]
-    if head and all(c in b"01 \t\r\n" for c in head):
-        return ASCII
-    return PACKED
+    return ASCII if head and all(c in _ASCII_BYTES for c in head) else PACKED
 
 
 def sha256_hex(payload: bytes) -> str:
@@ -163,6 +187,11 @@ def manifest_for_file(path: str) -> RunManifest | None:
     if not os.path.exists(mpath):
         return None
     try:
-        return load_manifest(mpath)
-    except (json.JSONDecodeError, TypeError, OSError):
+        manifest = load_manifest(mpath)
+    except (ValueError, TypeError, OSError):  # ValueError: bad JSON or bad UTF-8
         return None
+    # a mistyped field is damage too; type(), because a bool is an int but no bit count
+    bits, sha, encoding = manifest.output_bits, manifest.output_sha256, manifest.encoding
+    if type(bits) is not int or bits < 0 or not isinstance(sha, str) or not isinstance(encoding, str):
+        return None
+    return manifest

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2 import _gf2_divmod, as_bit_array, poly_from_octal
+from .bitio import as_bit_array
 
 __all__ = [
     "BchCode",
@@ -34,9 +34,10 @@ __all__ = [
     "predicted_output_bias",
 ]
 
-# Standard narrow-sense binary BCH generator polynomials, octal notation,
-# for every length 2^m - 1 used here.  k = n - deg(g); minimum distance
-# >= 2t + 1.  Sorted by (n, t).
+# Standard narrow-sense binary BCH generator polynomials in octal notation
+# (the digits in binary are the coefficients from the highest degree down:
+# "45" -> 100101 -> x^5 + x^2 + 1), for every length 2^m - 1 used here.
+# k = n - deg(g); minimum distance >= 2t + 1.  Sorted by (n, t).
 _CODE_TABLE: tuple[tuple[int, int, int, str], ...] = (
     (7, 4, 1, "13"),
     (31, 26, 1, "45"),
@@ -55,7 +56,7 @@ _CODE_TABLE: tuple[tuple[int, int, int, str], ...] = (
 
 @dataclass(frozen=True)
 class BchCode:
-    """A (n, k, t) binary BCH code with its generator polynomial."""
+    """A (n, k, t) binary BCH code; generator holds bit i = coefficient of x^i."""
 
     n: int
     k: int
@@ -64,7 +65,12 @@ class BchCode:
     generator: int = field(init=False)
 
     def __post_init__(self):
-        g = poly_from_octal(self.generator_octal)
+        octal = self.generator_octal
+        if not isinstance(octal, str) or not octal:
+            raise ValueError("octal polynomial string must be non-empty")
+        if any(c not in "01234567" for c in octal):
+            raise ValueError(f"invalid octal polynomial {octal!r}: digits must be 0-7")
+        g = int(octal, 8)
         if not (0 < self.k < self.n):
             raise ValueError(f"need 0 < k < n, got (n={self.n}, k={self.k})")
         if self.t < 1:
@@ -187,6 +193,19 @@ def _gf_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"0o{poly:o} is not primitive for GF(2^{m})")
     exp[n : 2 * n] = exp[:n]
     return exp, log
+
+
+def _gf2_divmod(a: int, m: int) -> tuple[int, int]:
+    """Quotient and remainder of a / m over GF(2), as coefficient masks; m must be nonzero."""
+    if m == 0:
+        raise ValueError("division by the zero polynomial")
+    dm = m.bit_length() - 1
+    q = 0
+    while a.bit_length() - 1 >= dm and a:
+        shift = a.bit_length() - 1 - dm
+        q |= 1 << shift
+        a ^= m << shift
+    return q, a
 
 
 def bch_decode(code: BchCode, received) -> DecodeResult:

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf2 import as_bit_array
+from .bitio import as_bit_array
 
 __all__ = [
     "EmptyBatteryError",

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bitio import as_bit_array
 from .codes import BchCode, compress_stream_matrix
-from .gf2 import as_bit_array
 
 __all__ = [
     "FEEDBACK_INJECTION",

@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from eccrng.gf2 import as_bit_array
+from eccrng.bitio import as_bit_array
 from eccrng.whiten import FEEDBACK_INJECTION
 
 # Maximal-length tap sets: each free-runs through all 2^N - 1 nonzero states

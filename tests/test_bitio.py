@@ -11,6 +11,7 @@ from eccrng.bitio import (
     MSB_FIRST,
     PACKED,
     RunManifest,
+    as_bit_array,
     decode_bits,
     encode_bits,
     load_manifest,
@@ -19,7 +20,41 @@ from eccrng.bitio import (
     read_bit_file,
     sniff_encoding,
     write_bit_file,
+    write_manifest,
 )
+
+
+def test_as_bit_array_accepts_text_and_whitespace():
+    got = as_bit_array("01 10\n1")
+    assert got.tolist() == [0, 1, 1, 0, 1]
+    assert got.dtype == np.uint8
+    # whitespace is exactly what str.isspace accepts, ASCII or not
+    assert as_bit_array("0\x0b1\x1c0").tolist() == [0, 1, 0]
+    assert as_bit_array("1\u30000").tolist() == [1, 0]
+
+
+def test_as_bit_array_rejects_non_binary():
+    with pytest.raises(ValueError):
+        as_bit_array("01012")
+    with pytest.raises(ValueError):
+        as_bit_array("0\u00e91")
+    with pytest.raises(ValueError):
+        as_bit_array(np.array([0, 1, 2], dtype=np.uint8))
+    with pytest.raises(ValueError):
+        as_bit_array(np.zeros((2, 2), dtype=np.uint8))
+    # other dtypes are checked before the cast to uint8, which would wrap or
+    # truncate these to 0/1
+    for bad in ([256, 1], [-255], [0.2, 1.9, 0.7]):
+        with pytest.raises(ValueError):
+            as_bit_array(bad)
+
+
+def test_as_bit_array_accepts_exact_bits_of_any_dtype():
+    for good in ([True, False, True], [1, 0, 1], [1.0, 0.0, 1.0]):
+        got = as_bit_array(good)
+        assert got.dtype == np.uint8
+        assert got.tolist() == [1, 0, 1]
+    assert as_bit_array([]).size == 0
 
 
 def test_pack_msb_first():
@@ -105,6 +140,14 @@ def test_sniff_encoding():
     assert sniff_encoding(b"0101\n0011\n") == ASCII
     assert sniff_encoding(b"\x9c\x22\x01") == PACKED
     assert sniff_encoding(b"") == PACKED
+    # every byte the ascii decoder skips as whitespace, and nothing more
+    for space in b" \t\n\v\f\r\x1c\x1d\x1e\x1f":
+        payload = b"01" + bytes([space]) + b"10"
+        assert sniff_encoding(payload) == ASCII
+        assert decode_bits(payload, ASCII).tolist() == [0, 1, 1, 0]
+    for other in b"\x00\x08\x0e\x1b\x7f2a":
+        assert sniff_encoding(b"01" + bytes([other]) + b"10") == PACKED
+    assert sniff_encoding(b"01\x8510") == PACKED  # str.isspace, but not ascii
 
 
 def test_manifest_round_trip(tmp_path):
@@ -118,8 +161,6 @@ def test_manifest_round_trip(tmp_path):
         output_bits=8,
         encoding=PACKED,
     )
-    from eccrng.bitio import write_manifest
-
     mpath = write_manifest(manifest)
     assert mpath == manifest_path_for(out) == out + ".manifest.json"
     loaded = load_manifest(mpath)
@@ -134,6 +175,22 @@ def test_manifest_for_file_handles_absence_and_damage(tmp_path):
     with open(manifest_path_for(target), "w") as fh:
         fh.write("{not json")
     assert manifest_for_file(target) is None
+    with open(manifest_path_for(target), "wb") as fh:
+        fh.write(b"\xff\xfe{}")  # not UTF-8
+    assert manifest_for_file(target) is None
+
+    good = RunManifest("generate", [], {}, target, "00" * 32, 8, PACKED)
+    write_manifest(good)
+    assert manifest_for_file(target) == good
+    # fields the reader counts or compares with must have their types
+    for field, value in [
+        ("output_bits", "8"), ("output_bits", True), ("output_bits", -1), ("output_bits", 8.0),
+        ("output_bits", None), ("output_sha256", None), ("output_sha256", 0),
+        ("encoding", None), ("encoding", ["packed"]),
+    ]:
+        with open(manifest_path_for(target), "w") as fh:
+            json.dump({**good.__dict__, field: value}, fh)
+        assert manifest_for_file(target) is None, (field, value)
 
 
 def test_manifest_is_sorted_readable_json(tmp_path):
@@ -147,8 +204,6 @@ def test_manifest_is_sorted_readable_json(tmp_path):
         output_bits=0,
         encoding=ASCII,
     )
-    from eccrng.bitio import write_manifest
-
     with open(write_manifest(manifest)) as fh:
         data = json.load(fh)
     assert list(data) == sorted(data)

@@ -358,6 +358,32 @@ def test_ascii_encoding_flows_through(tmp_path):
     assert m.output_bits == 600
 
 
+def test_ascii_with_form_feeds_is_sniffed_as_ascii(tmp_path):
+    raw = tmp_path / "ff.txt"
+    raw.write_bytes(b"".join(b"01" * 32 + b"\f\n" for _ in range(40)))  # no sidecar
+    out = tmp_path / "o.bits"
+    assert run("postprocess", str(raw), "--rejection", "--output", str(out)) == 0
+    m = load_manifest(manifest_path_for(str(out)))
+    assert m.params["input_encoding"] == "ascii"
+    assert m.params["input_bits"] == 2560
+
+
+@pytest.mark.parametrize("field, value", [("output_bits", "1001"), ("output_bits", True),
+                                          ("output_sha256", None), ("encoding", 7)])
+def test_mistyped_sidecar_is_ignored_not_a_traceback(tmp_path, capsys, field, value):
+    raw = tmp_path / "raw.bits"
+    assert run("generate", "--bernoulli", "0.5", "--bits", "1001", "--seed", "1",
+               "--output", str(raw)) == 0
+    sidecar = Path(manifest_path_for(str(raw)))
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), field: value}))
+    out = tmp_path / "o.bits"
+    capsys.readouterr()
+    # the damaged sidecar is not consulted: the packed file is read whole
+    assert run("postprocess", str(raw), "--rejection", "--output", str(out)) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert load_manifest(manifest_path_for(str(out))).params["input_bits"] == 1008
+
+
 def test_readme_report_is_what_its_commands_print(tmp_path, capsys, monkeypatch):
     text = README.read_text(encoding="utf-8")
     argvs = {line.split()[1]: shlex.split(line)[1:]

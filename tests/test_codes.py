@@ -9,6 +9,9 @@ from oracles import compress_stream_shiftreg, syndrome_table_decoder
 
 from eccrng import codes
 from eccrng.codes import (
+    BchCode,
+    _band_offsets,
+    _gf2_divmod,
     _gf_tables,
     bch_decode,
     bch_encode,
@@ -38,6 +41,78 @@ EXPECTED_TABLE = [
 def test_registry_contents():
     reg = code_registry()
     assert [(c.n, c.k, c.t, c.generator_octal) for c in reg] == EXPECTED_TABLE
+
+
+def test_octal_parse_cube_plus_x_plus_one():
+    p = BchCode(7, 4, 1, "13").generator
+    assert p == 0b1011
+    assert p.bit_length() - 1 == 3
+    assert p.bit_count() == 3
+    assert [(p >> i) & 1 for i in range(4)] == [1, 1, 0, 1]
+
+
+def test_octal_parse_pentanomial():
+    p = BchCode(31, 26, 1, "45").generator
+    assert p == 0b100101
+    assert p.bit_length() - 1 == 5
+    assert p.bit_count() == 3
+
+
+def test_octal_rejects_garbage():
+    # int(_, 8) alone would take the last three as 0o13
+    for bad in ("82", "1a", "", "0o13", "1_3", " 13"):
+        with pytest.raises(ValueError, match="octal polynomial"):
+            BchCode(7, 4, 1, bad)
+
+
+def test_zero_polynomial():
+    with pytest.raises(ValueError, match="generator degree"):
+        BchCode(7, 4, 1, "0")
+    assert _gf2_divmod(0, lookup_code(7, 4, 1).generator) == (0, 0)
+
+
+def test_weight_of_long_generator():
+    assert BchCode(31, 21, 2, "3551").generator.bit_count() == 7
+
+
+def test_reciprocal():
+    # the band offsets read the generator highest degree first, so as
+    # exponents they are its reciprocal: x^3 + x + 1 -> x^3 + x^2 + 1
+    assert sum(1 << d for d in _band_offsets(lookup_code(7, 4, 1))) == 0b1101
+    for code in code_registry():
+        deg = code.n - code.k
+        assert sum(1 << (deg - d) for d in _band_offsets(code)) == code.generator
+
+
+def test_registry_octal_round_trip():
+    for code in code_registry():
+        assert format(code.generator, "o") == code.generator_octal
+
+
+def test_registry_generator_degree_is_n_minus_k():
+    for code in code_registry():
+        assert code.generator.bit_length() - 1 == code.n - code.k
+
+
+def test_registry_generator_divides_cycle_polynomial():
+    for code in code_registry():
+        cycle = (1 << code.n) | 1  # x^n + 1
+        quotient, remainder = _gf2_divmod(cycle, code.generator)
+        assert remainder == 0
+        assert quotient.bit_length() - 1 == code.k  # deg(x^n + 1) - deg(g)
+
+
+def test_divmod_rejects_zero_modulus():
+    # a zero dividend first: with a nonzero one the unchecked division never returns
+    for a in (0, 5):
+        with pytest.raises(ValueError):
+            _gf2_divmod(a, 0)
+
+
+def test_registry_generator_weight_is_odd():
+    # odd parity-tap count keeps the compressed bias law sign-preserving
+    for code in code_registry():
+        assert code.generator.bit_count() % 2 == 1
 
 
 def test_generators_meet_the_bch_bound():

@@ -1,5 +1,6 @@
-"""numpy is the only third-party package the runtime imports or declares, and
-every public name has a user outside the tests."""
+"""numpy is the only third-party package the runtime imports or declares, every
+public name has a user outside the tests, no module reaches into another's
+private names, and the README's module map lists the package's modules."""
 
 import ast
 import re
@@ -47,6 +48,25 @@ def test_pyproject_declares_only_numpy():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         deps = tomllib.load(fh)["project"]["dependencies"]
     assert {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in deps} == ALLOWED
+
+
+def test_no_module_imports_a_private_name_from_another():
+    for path in sorted((ROOT / "src" / "eccrng").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").partition(".")[0] == "eccrng"
+            ):
+                private = [a.name for a in node.names
+                           if a.name.startswith("_") and not a.name.endswith("__")]
+                assert not private, f"{path.name} imports {private}"
+
+
+def test_readme_module_map_lists_the_package_modules():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("## Module map", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `eccrng\.(\w+)` \|", table, flags=re.MULTILINE)
+    modules = {p.stem for p in (ROOT / "src" / "eccrng").glob("*.py")} - {"__init__"}
+    assert sorted(listed) == sorted(modules)
 
 
 def _loaded_names(paths) -> set[str]:
