@@ -3,7 +3,7 @@
 packed: raw bytes, 8 bits per byte, first bit of the stream in the most
 significant bit of the first byte; the final byte is zero-padded and the
 true bit count lives in the sidecar manifest.  ascii: '0'/'1' characters,
-whitespace ignored on read.  Every produced artifact gets a
+ASCII whitespace ignored on read.  Every produced artifact gets a
 "<path>.manifest.json" sidecar carrying the reproduction recipe (argv,
 seeds, digests, bit count).
 """
@@ -42,8 +42,8 @@ MSB_FIRST = "msb"
 LSB_FIRST = "lsb"
 
 _ASCII_WRAP = 64  # characters per line when writing ascii streams
-# what an ascii file may hold: 0, 1 and ASCII str.isspace (\v, \f, \x1c-\x1f too)
-_ASCII_BYTES = bytes(c for c in range(128) if chr(c) in "01" or chr(c).isspace())
+# byte value -> may an ascii file hold it: 0, 1 and ASCII str.isspace (\v, \f, \x1c-\x1f too)
+_ASCII_BYTE = np.array([c < 128 and (chr(c) in "01" or chr(c).isspace()) for c in range(256)])
 
 
 def as_bit_array(bits) -> np.ndarray:
@@ -78,11 +78,14 @@ def encode_bits(bits, encoding: str = PACKED) -> bytes:
         return np.packbits(b).tobytes()
     if encoding != ASCII:
         raise ValueError(f"unknown encoding {encoding!r}")
-    if not b.size:
-        return b""
-    # a newline after every _ASCII_WRAP digits and after the last one
-    breaks = np.arange(_ASCII_WRAP, b.size, _ASCII_WRAP)
-    return np.insert(b + ord("0"), breaks, ord("\n")).tobytes() + b"\n"
+    # a newline after every _ASCII_WRAP digits and after the last one: full
+    # lines are rows of a (lines, _ASCII_WRAP + 1) grid, a short last line follows
+    out = np.full(b.size + -(-b.size // _ASCII_WRAP), ord("\n"), dtype=np.uint8)
+    full = b.size - b.size % _ASCII_WRAP
+    grid = out[: full + full // _ASCII_WRAP].reshape(-1, _ASCII_WRAP + 1)
+    np.add(b[:full].reshape(-1, _ASCII_WRAP), ord("0"), out=grid[:, :_ASCII_WRAP])
+    np.add(b[full:], ord("0"), out=out[grid.size : -1])
+    return out.tobytes()
 
 
 def decode_bits(
@@ -107,11 +110,18 @@ def decode_bits(
         return np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=bit_count, bitorder=order)
     if encoding != ASCII:
         raise ValueError(f"unknown encoding {encoding!r}")
-    try:
-        text = payload.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"not an ascii bit file ({exc})") from None
-    bits = as_bit_array(text)
+    raw = np.frombuffer(payload, dtype=np.uint8)
+    digits = (raw & 0xFE) == ord("0")
+    # only the non-digit bytes are looked up; a non-ascii byte anywhere is
+    # reported before any other bad byte
+    if not _ASCII_BYTE[raw[~digits]].all():
+        try:
+            payload.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"not an ascii bit file ({exc})") from None
+        raise ValueError("bit string may contain only 0, 1 and whitespace")
+    bits = raw[digits]
+    np.bitwise_and(bits, 1, out=bits)
     if bit_count is None:
         return bits
     if not 0 <= bit_count <= bits.size:
@@ -134,8 +144,8 @@ def read_bit_file(path: str, encoding: str = PACKED, bit_count: int | None = Non
 
 def sniff_encoding(payload: bytes) -> str:
     """Best-effort guess: a payload whose first 4096 bytes are 0/1/whitespace is ascii."""
-    head = payload[:4096]
-    return ASCII if head and all(c in _ASCII_BYTES for c in head) else PACKED
+    head = np.frombuffer(payload[:4096], dtype=np.uint8)
+    return ASCII if head.size and _ASCII_BYTE[head].all() else PACKED
 
 
 def sha256_hex(payload: bytes) -> str:

@@ -7,7 +7,9 @@ them useful as references: tests compare `lfsr_whiten`,
 `compress_stream_matrix` and `bch_decode` against them, and count the
 free-run period of each maximal-length tap set.  The battery
 oracles compute each statistic over every bit in int64, one test at a time,
-and are checked against the shared passes of `eccrng.stats`.
+and are checked against the shared passes of `eccrng.stats`.  The ascii
+oracles go through Python text, as the first file reader and writer did,
+and are checked against the byte-level kernels of `eccrng.bitio`.
 """
 
 import itertools
@@ -179,3 +181,32 @@ def two_cumsum_walk_extremes(b):
     int64 cumulative sum."""
     x = b.astype(np.int64) * 2 - 1
     return int(np.abs(np.cumsum(x)).max()), int(np.abs(np.cumsum(x[::-1])).max())
+
+
+def text_decode_ascii(payload, bit_count=None):
+    """An ascii bit file read as text: decoded to str, re-encoded as UTF-32,
+    every code other than 0 and 1 checked with str.isspace."""
+    try:
+        text = payload.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not an ascii bit file ({exc})") from None
+    codes = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+    is_digit = (codes == ord("0")) | (codes == ord("1"))
+    if not all(chr(c).isspace() for c in np.unique(codes[~is_digit]).tolist()):
+        raise ValueError("bit string may contain only 0, 1 and whitespace")
+    bits = (codes[is_digit] - ord("0")).astype(np.uint8)
+    if bit_count is None:
+        return bits
+    if not 0 <= bit_count <= bits.size:
+        raise ValueError(f"bit count {bit_count} outside the 0..{bits.size} bits in the file")
+    return bits[:bit_count]
+
+
+def insert_encode_ascii(bits):
+    """An ascii bit file's bytes: digits with a newline inserted after every
+    64th one, and one after the last."""
+    b = np.asarray(bits, dtype=np.uint8)
+    if not b.size:
+        return b""
+    breaks = np.arange(64, b.size, 64)
+    return np.insert(b + ord("0"), breaks, ord("\n")).tobytes() + b"\n"

@@ -1,6 +1,7 @@
 """Bit-file packing, encodings, and run manifests."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from eccrng.bitio import (
     write_bit_file,
     write_manifest,
 )
+from oracles import insert_encode_ascii, text_decode_ascii
 
 
 def test_as_bit_array_accepts_text_and_whitespace():
@@ -134,6 +136,63 @@ def test_ascii_rejects_binary_payload(tmp_path):
     path.write_bytes(b"\x80\xff")
     with pytest.raises(ValueError):
         read_bit_file(str(path), ASCII)
+
+
+def _decoded(decode, payload, bit_count=None):
+    """The bits (with their dtype) or the ValueError text a decoder gives."""
+    try:
+        bits = decode(payload, bit_count)
+    except ValueError as exc:
+        return str(exc)
+    return bits.dtype.str, bits.tolist()
+
+
+def _decode_ascii(payload, bit_count=None):
+    return decode_bits(payload, ASCII, bit_count)
+
+
+def test_ascii_decode_matches_the_text_oracle():
+    spaces = b" \t\n\v\f\r\x1c\x1d\x1e\x1f"
+    alphabet = np.frombuffer(b"0101" + spaces, dtype=np.uint8)
+    rng = np.random.default_rng(15)
+    for case in range(3000):
+        payload = rng.choice(alphabet, rng.integers(0, 80))
+        if case % 3 == 0:  # one byte of any value planted anywhere
+            payload = np.insert(payload, rng.integers(0, payload.size + 1), rng.integers(0, 256))
+        payload = payload.tobytes()
+        ones_and_zeros = payload.count(b"0") + payload.count(b"1")
+        for bit_count in (None, *rng.integers(-2, ones_and_zeros + 3, 2).tolist()):
+            want = _decoded(text_decode_ascii, payload, bit_count)
+            assert _decoded(_decode_ascii, payload, bit_count) == want, (payload, bit_count)
+    # every byte value alone, among digits, and before a non-ascii byte,
+    # which takes precedence over any other bad byte
+    for value in range(256):
+        for payload in (bytes([value]), b"01" + bytes([value]) + b"10", bytes([value]) + b"1\xff"):
+            assert _decoded(_decode_ascii, payload) == _decoded(text_decode_ascii, payload), payload
+
+
+@pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 127, 128, 129, 1000, 100_003])
+def test_ascii_encode_matches_the_insert_oracle(length):
+    bits = np.random.default_rng(length).integers(0, 2, length, dtype=np.uint8)
+    assert encode_bits(bits, ASCII) == insert_encode_ascii(bits)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ascii_decode_and_encode_stay_within_a_few_bytes_per_bit():
+    # reading as text held 11 traced bytes per bit, writing with np.insert 3.4
+    n = 1_000_000
+    bits = np.random.default_rng(1).integers(0, 2, n, dtype=np.uint8)
+    payload = encode_bits(bits, ASCII)
+    assert _traced_peak(decode_bits, payload, ASCII) <= 4 * n
+    assert _traced_peak(encode_bits, bits, ASCII) <= 3 * n
 
 
 def test_sniff_encoding():
