@@ -154,10 +154,12 @@ def _read_input(args) -> tuple[np.ndarray, str, str]:
             encoding = manifest.encoding
         else:
             encoding = bitio.sniff_encoding(payload)
+    if args.bit_order is not None and encoding == bitio.ASCII:
+        raise UsageError(f"--bit-order applies to packed input only, and {path} is read as ascii")
     if bit_count is None and manifest is not None and manifest.encoding == encoding:
         bit_count = manifest.output_bits
     try:
-        bits = bitio.decode_bits(payload, encoding, bit_count, args.bit_order)
+        bits = bitio.decode_bits(payload, encoding, bit_count, args.bit_order or bitio.MSB_FIRST)
     except ValueError as exc:
         raise CliIoError(f"cannot read {path}: {exc}") from None
     return bits, encoding, sha
@@ -472,8 +474,8 @@ def _add_input_flags(p: _Parser) -> None:
     p.add_argument("--input-encoding", choices=["auto", bitio.PACKED, bitio.ASCII], default="auto")
     p.add_argument("--bits", type=int, default=None,
                    help="read only the first N bits (default: the sidecar's count, else the whole file)")
-    p.add_argument("--bit-order", choices=[bitio.MSB_FIRST, bitio.LSB_FIRST], default=bitio.MSB_FIRST,
-                   help="bit order inside packed input bytes (default msb)")
+    p.add_argument("--bit-order", choices=[bitio.MSB_FIRST, bitio.LSB_FIRST], default=None,
+                   help="bit order inside packed input bytes (default msb; refused for ascii input)")
 
 
 def _add_stage_flags(p: _Parser) -> None:

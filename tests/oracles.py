@@ -7,7 +7,9 @@ them useful as references: tests compare `lfsr_whiten`,
 `compress_stream_matrix` and `bch_decode` against them, and count the
 free-run period of each maximal-length tap set.  The battery
 oracles compute each statistic over every bit in int64, one test at a time,
-and are checked against the shared passes of `eccrng.stats`.  The ascii
+and are checked against the shared passes of `eccrng.stats`; the spectral
+oracle takes one rfft over all n bits, where the kernel joins two half-length
+ones.  The ascii
 oracles go through Python text, as the first file reader and writer did,
 and are checked against the byte-level kernels of `eccrng.bitio`.
 """
@@ -181,6 +183,13 @@ def two_cumsum_walk_extremes(b):
     int64 cumulative sum."""
     x = b.astype(np.int64) * 2 - 1
     return int(np.abs(np.cumsum(x)).max()), int(np.abs(np.cumsum(x[::-1])).max())
+
+
+def rfft_spectral_count(b, threshold):
+    """Bins k < n/2 with |X_k| < threshold, X the DFT of 2b - 1, from one
+    rfft of length n."""
+    x = np.asarray(b, dtype=np.float64) * 2.0 - 1.0
+    return int((np.abs(np.fft.rfft(x))[: x.size // 2] < threshold).sum())
 
 
 def text_decode_ascii(payload, bit_count=None):

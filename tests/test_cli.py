@@ -265,6 +265,11 @@ def test_bench_rejects_bad_source():
         (["calibrate", "--target", "0.276", "--tol", "inf"], 1),
         (["calibrate", "--empirical", "--tol", "inf"], 1),
         (["calibrate", "--tol", "nan"], 1),
+        # a bit order has no meaning for ascii input, sniffed or named
+        (["test", "{ascii}", "--allow-short", "--bit-order", "lsb"], 1),
+        (["postprocess", "{ascii}", "--rejection", "--bit-order", "lsb", "--output", "{out}"], 1),
+        (["postprocess", "{ascii}", "--rejection", "--input-encoding", "ascii",
+          "--bit-order", "msb", "--output", "{out}"], 1),
     ],
 )
 def test_bad_argv_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, argv, code):
@@ -323,6 +328,25 @@ def test_input_digest_and_bit_count_follow_the_file(tmp_path):
                "--output", out) == 0
     payload_bits = 8 * (tmp_path / "cap-ascii").stat().st_size
     assert load_manifest(manifest_path_for(out)).params["input_bits"] == payload_bits
+
+
+def test_bit_order_lsb_reads_packed_input(tmp_path, capsys):
+    msb = tmp_path / "msb.bits"
+    assert run("generate", "--bernoulli", "0.5", "--bits", "2000", "--seed", "6",
+               "--output", str(msb)) == 0
+    raw = np.frombuffer(msb.read_bytes(), dtype=np.uint8)
+    lsb = tmp_path / "lsb.bits"  # the same bits, packed the other way, with no sidecar
+    lsb.write_bytes(np.packbits(np.unpackbits(raw), bitorder="little").tobytes())
+    outs = {}
+    for path, order in ((msb, []), (lsb, ["--bit-order", "lsb"])):
+        outs[path] = tmp_path / f"{path.stem}.out"
+        assert run("postprocess", str(path), "--lfsr", "3,1,0", *order,
+                   "--output", str(outs[path])) == 0
+        capsys.readouterr()
+        assert run("test", str(path), "--allow-short", *order) in (0, 3)
+        outs[path, "report"] = capsys.readouterr().out
+    assert outs[msb].read_bytes() == outs[lsb].read_bytes()
+    assert outs[msb, "report"] == outs[lsb, "report"]
 
 
 def test_manifest_replay_reproduces_bytes(tmp_path, monkeypatch):

@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 import mpmath as mp
-from oracles import longest_run_per_block, shift_loop_pattern_counts, two_cumsum_walk_extremes
+from oracles import (
+    longest_run_per_block,
+    rfft_spectral_count,
+    shift_loop_pattern_counts,
+    two_cumsum_walk_extremes,
+)
 
+from eccrng import stats
 from eccrng.source import bernoulli_stream
 from eccrng.stats import (
     _LONGEST_RUN_TABLES,
@@ -21,6 +27,7 @@ from eccrng.stats import (
     _chi2_sf,
     _longest_run_classes,
     _normal_cdf,
+    _spectral_count,
     approximate_entropy_test,
     block_frequency_test,
     cumulative_sums_test,
@@ -214,6 +221,55 @@ def test_walk_extremes_match_two_cumsums():
             *((rng.random(n) < p).astype(np.uint8) for p in (0.5, 0.1, 0.9)),
         ):
             assert _Bits(b).walk_extremes == two_cumsum_walk_extremes(b), n
+
+
+def _spectral_threshold(n):
+    return math.sqrt(math.log(1.0 / 0.05) * n)
+
+
+# every residue mod 4, powers of two, and even lengths whose half spectrum
+# (n/4 + 1 bins) ends one short of, at, and one past a whole number of
+# butterfly chunks
+SPECTRAL_LENGTHS = sorted(
+    set(range(1, 70))
+    | {1000, 1001, 1002, 1003}
+    | {1 << p for p in range(1, 19)}
+    | {4 * (k * stats._BUTTERFLY_CHUNK + d - 1) + r
+       for k in (1, 2) for d in (-1, 0, 1) for r in (0, 2)}
+)
+
+
+@pytest.mark.parametrize("n", SPECTRAL_LENGTHS)
+def test_spectral_count_matches_one_rfft(n):
+    rng = np.random.default_rng(n)
+    biases = (0.05, 0.1, 0.2, 0.35, 0.5)
+    # a long length other than a power of two can factor slowly for the FFT: one input
+    full = n <= 70_000 or n & (n - 1) == 0
+    inputs = [(rng.random(n) < p).astype(np.uint8) for p in (biases if full else biases[n % 5 :][:1])]
+    if full:
+        alternating = np.arange(n, dtype=np.uint8) % 2
+        inputs += [np.zeros(n, np.uint8), np.ones(n, np.uint8), alternating, 1 - alternating]
+    threshold = _spectral_threshold(n)
+    for b in inputs:
+        assert _spectral_count(b, threshold) == rfft_spectral_count(b, threshold), (n, b[:8])
+
+
+def test_spectral_count_on_a_period_two_string():
+    b = np.frombuffer(b"10" * 1000, np.uint8) - ord("0")
+    threshold = _spectral_threshold(b.size)
+    # only the Nyquist bin, at k = n/2, is nonzero, and it lies outside k < n/2
+    assert _spectral_count(b, threshold) == rfft_spectral_count(b, threshold) == 1000
+
+
+@pytest.mark.parametrize("n", [2_064_512, 1_142_856])
+def test_battery_at_the_benchmark_lengths_matches_the_rfft_count(n, monkeypatch):
+    # the two even battery lengths of the benchmark workloads
+    bits = bernoulli_stream(0.5, n % 1000, n)
+    report = run_battery(bits)
+    monkeypatch.setattr(stats, "_spectral_count", rfft_spectral_count)
+    expected = run_battery(bits)
+    assert report.results[-1].params == expected.results[-1].params
+    assert render_report(report) == render_report(expected)
 
 
 def _report_test_by_test(
