@@ -98,9 +98,9 @@ def decode_bits(
 
     bit_order says which end of each packed byte holds its first bit.
     """
+    if bit_order not in (MSB_FIRST, LSB_FIRST):
+        raise ValueError(f"unknown bit order {bit_order!r}")
     if encoding == PACKED:
-        if bit_order not in (MSB_FIRST, LSB_FIRST):
-            raise ValueError(f"unknown bit order {bit_order!r}")
         if bit_count is None:
             bit_count = 8 * len(payload)
         # a negative count would make unpackbits drop bits off the end

@@ -29,11 +29,11 @@ from .source import (
     calibrate_current_empirical,
     generate_stream,
     load_switching_models,
-    markov_stream,
     switching_probability,
 )
 from .whiten import (
     FEEDBACK_INJECTION,
+    OUTPUT_XOR_INJECTION,
     EccStage,
     LfsrSpec,
     LfsrStage,
@@ -188,21 +188,15 @@ def _write_artifact(path, payload: bytes, argv, command, params, *,
     bitio.write_manifest(manifest)
 
 
+def _write_text(text: str, path, argv, command, params, input_info=None) -> None:
+    """Print text, and write it to path as an artifact when a path is given."""
+    sys.stdout.write(text)
+    if path:
+        _write_artifact(path, text.encode("utf-8"), argv, command, params, input_info=input_info)
+
+
 def _resolve_source(kind: str, value: str, args, seed: int) -> tuple[SourceConfig, dict]:
     """Build a SourceConfig from a source (kind, value); returns (config, params)."""
-    if kind == "preset":
-        if value not in PRESETS:
-            raise UsageError(f"unknown preset {value!r}; available: {', '.join(sorted(PRESETS))}")
-        p, t_write = PRESETS[value]
-        model = _load_model(args.model_config, t_write)
-        try:
-            current = calibrate_current(model, target=p, tol=1e-12)
-        except CalibrationError as exc:
-            raise UsageError(f"preset {value}: {exc}") from None
-        cfg = SourceConfig("mtj", seed, args.bits, model=model, current_ua=current)
-        params = {"source": f"preset:{value}", "p": p, "t_write_ns": t_write,
-                  "current_ua": current, "seed": seed}
-        return cfg, params
     if kind == "bernoulli":
         p = _parse_prob(value, kind)
         return (
@@ -220,21 +214,31 @@ def _resolve_source(kind: str, value: str, args, seed: int) -> tuple[SourceConfi
             raise UsageError(f"bad autocorrelation {parts[1]!r}") from None
         try:
             cfg = SourceConfig("markov", seed, args.bits, p=p, rho=rho)
-            # zero-length dry run surfaces infeasible (p, rho) pairs as usage errors
-            markov_stream(p, rho, 0, 0)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         return cfg, {"source": f"markov:{p:g},{rho:g}", "seed": seed}
-    # explicit operating current through the switching model
-    try:
-        current = float(value)
-    except ValueError:
-        raise UsageError(f"bad current {value!r}") from None
-    if not math.isfinite(current):
-        raise UsageError(f"--current must be finite, got {value}")
-    model = _load_model(args.model_config, args.t_write)
+    # a preset's calibrated current, or an explicit one, through the switching model
+    if kind == "preset":
+        if value not in PRESETS:
+            raise UsageError(f"unknown preset {value!r}; available: {', '.join(sorted(PRESETS))}")
+        p, t_write = PRESETS[value]
+        params = {"source": f"preset:{value}", "p": p}
+    else:
+        try:
+            current = float(value)
+        except ValueError:
+            raise UsageError(f"bad current {value!r}") from None
+        if not math.isfinite(current):
+            raise UsageError(f"--current must be finite, got {value}")
+        t_write, params = args.t_write, {"source": f"mtj:{current:g}uA"}
+    model = _load_model(args.model_config, t_write)
+    if kind == "preset":
+        try:
+            current = params["current_ua"] = calibrate_current(model, target=p, tol=1e-12)
+        except CalibrationError as exc:
+            raise UsageError(f"preset {value}: {exc}") from None
     cfg = SourceConfig("mtj", seed, args.bits, model=model, current_ua=current)
-    return cfg, {"source": f"mtj:{current:g}uA", "t_write_ns": args.t_write, "seed": seed}
+    return cfg, {**params, "t_write_ns": t_write, "seed": seed}
 
 
 def _parse_prob(text: str, kind: str) -> float:
@@ -261,7 +265,7 @@ def _load_model(config_path, t_write):
 
 
 def cmd_generate(args, argv) -> int:
-    if args.bits is None or args.bits < 0:
+    if args.bits < 0:
         raise UsageError("--bits must be a non-negative integer")
     chosen = [
         (kind, value)
@@ -327,41 +331,24 @@ def cmd_test(args, argv) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    text = stats.render_report(report)
-    sys.stdout.write(text)
-    _write_artifact(
-        args.report or (args.input + ".report"),
-        text.encode("utf-8"),
-        argv,
-        "test",
-        {
-            "alpha": args.alpha,
-            "fail_threshold": args.fail_threshold,
-            "block_size": args.block_size,
-            "pattern_length": args.pattern_length,
-            "input_bits": int(bits.size),
-        },
-        input_info=(args.input, in_sha),
-    )
+    _write_text(stats.render_report(report), args.report or (args.input + ".report"), argv, "test",
+                {"alpha": args.alpha, "fail_threshold": args.fail_threshold,
+                 "block_size": args.block_size, "pattern_length": args.pattern_length,
+                 "input_bits": int(bits.size)}, input_info=(args.input, in_sha))
     return 0 if report.passed else 3
 
 
 def cmd_calibrate(args, argv) -> int:
     model = _load_model(args.model_config, args.t_write)
+    opts = {} if args.tol is None else {"tol": args.tol}  # left out: the library's default
     try:
         if args.empirical:
             seed, argv = _resolve_seed(args, argv)
-            current = calibrate_current_empirical(
-                model,
-                target=args.target,
-                tol=args.tol if args.tol is not None else 5e-3,
-                seed=seed,
-                batch_bits=args.batch_bits,
-            )
+            if args.batch_bits is not None:
+                opts["batch_bits"] = args.batch_bits
+            current = calibrate_current_empirical(model, target=args.target, seed=seed, **opts)
         else:
-            current = calibrate_current(
-                model, target=args.target, tol=args.tol if args.tol is not None else 1e-9
-            )
+            current = calibrate_current(model, target=args.target, **opts)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     except CalibrationError as exc:
@@ -374,15 +361,8 @@ def cmd_calibrate(args, argv) -> int:
         f"current_ua {current:.6f}\n"
         f"curve_probability {p:.9f}\n"
     )
-    sys.stdout.write(text)
-    if args.output:
-        _write_artifact(
-            args.output,
-            text.encode("utf-8"),
-            argv,
-            "calibrate",
-            {"t_write_ns": model.t_write_ns, "target": args.target, "mode": mode},
-        )
+    _write_text(text, args.output, argv, "calibrate",
+                {"t_write_ns": model.t_write_ns, "target": args.target, "mode": mode})
     return 0
 
 
@@ -401,16 +381,8 @@ def cmd_speed_estimate(args, argv) -> int:
     ]
     for name, value in rows:
         lines.append(f"{name:<28s} {value:>8g}")
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if args.output:
-        _write_artifact(
-            args.output,
-            text.encode("utf-8"),
-            argv,
-            "speed",
-            {"read_ns": args.read_ns, "clocks_per_bit": args.clocks_per_bit, "mhz": mhz},
-        )
+    _write_text("\n".join(lines) + "\n", args.output, argv, "speed",
+                {"read_ns": args.read_ns, "clocks_per_bit": args.clocks_per_bit, "mhz": mhz})
     return 0
 
 
@@ -459,13 +431,8 @@ def cmd_bench(args, argv) -> int:
     end_rate = cur.size / total / 1e6 if total > 0 else float("inf")
     lines.append(f"output_bits {cur.size}")
     lines.append(f"throughput_mbit_s {end_rate:.3f}")
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if args.output:
-        _write_artifact(
-            args.output, text.encode("utf-8"), argv, "bench",
-            {"source": source_label, "seed": seed, "bits": args.bits},
-        )
+    _write_text("\n".join(lines) + "\n", args.output, argv, "bench",
+                {"source": source_label, "seed": seed, "bits": args.bits})
     return 0
 
 
@@ -489,7 +456,8 @@ def _add_stage_flags(p: _Parser) -> None:
                    metavar="N,K,T",
                    help="code compression stage, e.g. 31,16,3 (repeatable, order matters)")
     p.add_argument("--lfsr-seed", type=int, default=1, help="register preload for --lfsr stages")
-    p.add_argument("--injection", choices=["feedback", "output-xor"], default=FEEDBACK_INJECTION)
+    p.add_argument("--injection", choices=[FEEDBACK_INJECTION, OUTPUT_XOR_INJECTION],
+                   default=FEEDBACK_INJECTION)
 
 
 def build_parser() -> _Parser:
@@ -539,7 +507,7 @@ def build_parser() -> _Parser:
                    help="default 1e-9 analytic, 5e-3 empirical")
     c.add_argument("--empirical", action="store_true",
                    help="calibrate against measured batches instead of the curve")
-    c.add_argument("--batch-bits", type=int, default=100_000)
+    c.add_argument("--batch-bits", type=int, default=None)
     c.add_argument("--seed", type=int, default=None)
     c.add_argument("--model-config", default=None)
     c.add_argument("--output", default=None, help="also write the result as a text artifact")

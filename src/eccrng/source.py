@@ -123,15 +123,19 @@ def load_switching_models(path: str | None = None) -> dict[float, SwitchingModel
     return _parse_model_text(text, origin)
 
 
+def _check_target(target: float, tol: float) -> None:
+    if not 0.0 < target < 1.0:
+        raise ValueError(f"target probability must lie in (0, 1), got {target}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+
+
 def calibrate_current(model: SwitchingModel, target: float = 0.5, tol: float = 1e-9) -> float:
     """The curve's inverse, i50 + slope_scale * log(target / (1 - target)).
 
     Raises CalibrationError when the curve there misses target by more than
     tol (a curve too steep for float currents to resolve)."""
-    if not 0.0 < target < 1.0:
-        raise ValueError(f"target probability must lie in (0, 1), got {target}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    _check_target(target, tol)
     current = model.i50_ua + model.slope_scale_ua * math.log(target / (1.0 - target))
     if not abs(switching_probability(model, current) - target) <= tol:
         raise CalibrationError(
@@ -154,10 +158,7 @@ def calibrate_current_empirical(
     most 64 batches.  The tolerance has to be generous next to the batch
     noise (about 1/sqrt(batch_bits)) or the loop cannot settle.
     """
-    if not 0.0 < target < 1.0:
-        raise ValueError(f"target probability must lie in (0, 1), got {target}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    _check_target(target, tol)
     if batch_bits < 1:
         raise ValueError(f"batch_bits must be >= 1, got {batch_bits}")
     span = 60.0 * model.slope_scale_ua  # logistic is fully saturated 60 widths out
@@ -179,14 +180,34 @@ def calibrate_current_empirical(
     )
 
 
-def bernoulli_stream(p: float, seed, length: int) -> np.ndarray:
-    """length i.i.d. bits with P(1) = p, deterministic per seed."""
-    if not 0.0 <= p <= 1.0:
+def _check_probability(p) -> None:
+    if p is None or not 0.0 <= p <= 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
+
+
+def _check_length(length: int) -> None:
     if length < 0:
         raise ValueError(f"length must be non-negative, got {length}")
+
+
+def bernoulli_stream(p: float, seed, length: int) -> np.ndarray:
+    """length i.i.d. bits with P(1) = p, deterministic per seed."""
+    _check_probability(p)
+    _check_length(length)
     rng = np.random.default_rng(seed)
     return (rng.random(length) < p).astype(np.uint8)
+
+
+def _markov_transitions(p: float, rho: float) -> tuple[float, float]:
+    """(P(1->1), P(0->1)) of the chain; ValueError if no chain has p and rho."""
+    _check_probability(p)
+    if rho is None or not -1.0 < rho < 1.0:
+        raise ValueError(f"autocorrelation must lie in (-1, 1), got {rho}")
+    a = p + rho * (1.0 - p)
+    b = p * (1.0 - rho)
+    if 0.0 < p < 1.0 and not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
+        raise ValueError(f"no two-state chain has p={p} with rho={rho}")
+    return a, b
 
 
 def markov_stream(p: float, rho: float, seed, length: int) -> np.ndarray:
@@ -197,20 +218,12 @@ def markov_stream(p: float, rho: float, seed, length: int) -> np.ndarray:
     draws alternating geometric sojourns, which is fast and exact (the
     chain is memoryless inside a run).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
-    if not -1.0 < rho < 1.0:
-        raise ValueError(f"autocorrelation must lie in (-1, 1), got {rho}")
-    if length < 0:
-        raise ValueError(f"length must be non-negative, got {length}")
+    a, b = _markov_transitions(p, rho)
+    _check_length(length)
     out = np.empty(length, dtype=np.uint8)
     if p == 0.0 or p == 1.0:
         out.fill(int(p))
         return out
-    a = p + rho * (1.0 - p)
-    b = p * (1.0 - rho)
-    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-        raise ValueError(f"no two-state chain has p={p} with rho={rho}")
     if length == 0:
         return out
     rng = np.random.default_rng(seed)
@@ -256,7 +269,12 @@ def mtj_stream(model: SwitchingModel, current_ua: float, seed, length: int) -> n
 
 @dataclass(frozen=True)
 class SourceConfig:
-    """Declarative source description used by the command-line layer."""
+    """Declarative source description used by the command-line layer.
+
+    Every kind needs length >= 0, and its own fields: "bernoulli" p in
+    [0, 1], "markov" p and a rho that a two-state chain can have with it,
+    "mtj" model and a finite current_ua.  Otherwise ValueError is raised.
+    """
 
     kind: str  # "bernoulli" | "markov" | "mtj"
     seed: int
@@ -269,6 +287,13 @@ class SourceConfig:
     def __post_init__(self):
         if self.kind not in ("bernoulli", "markov", "mtj"):
             raise ValueError(f"unknown source kind {self.kind!r}")
+        _check_length(self.length)
+        if self.kind == "bernoulli":
+            _check_probability(self.p)
+        elif self.kind == "markov":
+            _markov_transitions(self.p, self.rho)
+        elif self.model is None or self.current_ua is None or not math.isfinite(self.current_ua):
+            raise ValueError(f"mtj needs a model and a finite current, got {self.current_ua}")
 
 
 def generate_stream(config: SourceConfig) -> np.ndarray:

@@ -77,6 +77,11 @@ def _check_seed(spec: LfsrSpec, seed: int) -> int:
     return seed
 
 
+def _check_injection(injection: str) -> None:
+    if injection not in (FEEDBACK_INJECTION, OUTPUT_XOR_INJECTION):
+        raise ValueError(f"unknown injection mode {injection!r}")
+
+
 def lfsr_whiten(spec: LfsrSpec, seed: int, bits, injection: str = FEEDBACK_INJECTION) -> np.ndarray:
     """Run the register over the stream; one output bit per input bit.
 
@@ -93,8 +98,7 @@ def lfsr_whiten(spec: LfsrSpec, seed: int, bits, injection: str = FEEDBACK_INJEC
     by 1 + a is multiplying by the product of 1 + a(z^(2^i)), and each factor
     is one round of shifted XORs over the whole array.
     """
-    if injection not in (FEEDBACK_INJECTION, OUTPUT_XOR_INJECTION):
-        raise ValueError(f"unknown injection mode {injection!r}")
+    _check_injection(injection)
     b = as_bit_array(bits)
     width = spec.width
     state = _check_seed(spec, seed)
@@ -157,6 +161,7 @@ class LfsrStage:
 
     def __post_init__(self):
         _check_seed(self.spec, self.seed)
+        _check_injection(self.injection)
 
     @property
     def label(self) -> str:

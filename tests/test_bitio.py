@@ -93,6 +93,9 @@ def test_negative_bit_count_is_rejected_not_a_shorter_read():
 def test_unpack_rejects_unknown_order():
     with pytest.raises(ValueError):
         decode_bits(b"\x80", PACKED, 8, "middle")
+    # an ascii payload has no byte order to apply, but a bad one is still refused
+    with pytest.raises(ValueError, match="unknown bit order"):
+        decode_bits(b"0101", ASCII, None, "bogus")
 
 
 @pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 64, 65, 1000])

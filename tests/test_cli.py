@@ -227,6 +227,43 @@ def test_bench_stage_lines_and_shares(tmp_path, capsys):
     assert out_file.read_text() == text
 
 
+@pytest.mark.parametrize(
+    "argv, command, params",
+    [
+        (["test", "{raw}", "--allow-short", "--report", "{artifact}"], "test",
+         {"alpha", "fail_threshold", "block_size", "pattern_length", "input_bits"}),
+        (["calibrate", "--target", "0.3", "--output", "{artifact}"], "calibrate",
+         {"t_write_ns", "target", "mode"}),
+        (["speed", "--read-ns", "3", "--output", "{artifact}"], "speed",
+         {"read_ns", "clocks_per_bit", "mhz"}),
+        (["bench", "--bits", "20000", "--seed", "2", "--output", "{artifact}"], "bench",
+         {"source", "seed", "bits"}),
+    ],
+    ids=["test", "calibrate", "speed", "bench"],
+)
+def test_text_artifact_is_what_was_printed(tmp_path, capsys, argv, command, params):
+    paths = {"raw": tmp_path / "raw.bits", "artifact": tmp_path / "out.txt"}
+    assert run("generate", "--bernoulli", "0.5", "--bits", "20000", "--seed", "3",
+               "--output", str(paths["raw"])) == 0
+    capsys.readouterr()
+    assert run(*(a.format(**paths) for a in argv)) in (0, 3)
+    assert paths["artifact"].read_bytes() == capsys.readouterr().out.encode("utf-8")
+    manifest = load_manifest(manifest_path_for(str(paths["artifact"])))
+    assert (manifest.command, set(manifest.params)) == (command, params)
+    assert (manifest.encoding, manifest.output_bits) == ("text", 0)
+
+
+@pytest.mark.parametrize("command", ["generate", "postprocess", "test", "calibrate", "speed",
+                                     "bench"])
+def test_help_exits_zero_without_a_traceback(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"usage: eccrng {command} ")
+    assert "Traceback" not in out + err
+
+
 def test_bench_rejects_bad_source():
     assert run("bench", "--bits", "100", "--source", "quantum:1") == 1
 

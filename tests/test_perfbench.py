@@ -1,6 +1,6 @@
-"""The benchmark's in-process job on small captures: it runs on every
-workload, its traced and untraced passes agree, and both give the bits and
-the file bytes of the benchmark's independent reference pipeline."""
+"""The benchmark's jobs on small captures: on every workload, the in-process
+job's traced and untraced passes agree, and they and the CLI chain give the
+bits and the file bytes of the benchmark's independent reference pipeline."""
 
 import dataclasses
 import hashlib
@@ -16,6 +16,10 @@ import jobs  # noqa: E402
 import oracle  # noqa: E402
 import spans  # noqa: E402
 from workloads import LFSR_SEED, WORKLOADS  # noqa: E402
+
+from eccrng import stats  # noqa: E402
+from eccrng.cli import main  # noqa: E402
+from eccrng.source import generate_stream  # noqa: E402
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -35,3 +39,29 @@ def test_in_process_job_matches_the_reference(tmp_path, name):
     assert np.array_equal(traced.capture, plain.capture)
     assert (traced.report_sha, traced.verdict, traced.failure_count) == (
         plain.report_sha, plain.verdict, plain.failure_count)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_cli_chain_matches_the_reference(tmp_path, monkeypatch, capsys, name):
+    w = dataclasses.replace(WORKLOADS[name], bits=40_000, battery_bits=None)
+    monkeypatch.delenv("ECCRNG_SEED", raising=False)
+    enc = w.encoding
+    capture, output, report = tmp_path / "capture", tmp_path / "output", tmp_path / "output.report"
+    # the argv of the benchmark's chain; --allow-short because the capture is small
+    assert main(["generate", *w.source, "--bits", str(w.bits), "--seed", "1",
+                 "--output", str(capture), "--encoding", enc]) == 0
+    assert main(["postprocess", str(capture), "--input-encoding", enc, *w.stage_flags(),
+                 "--output", str(output), "--encoding", enc]) == 0
+    capsys.readouterr()
+    code = main(["test", str(output), "--input-encoding", enc, "--report", str(report),
+                 "--allow-short"])
+
+    bits = generate_stream(jobs.source_config(w, 1, w.bits))
+    expected = oracle.pipeline(w.stages, bits, LFSR_SEED)
+    battery = stats.run_battery(expected)
+    assert capture.read_bytes() == oracle.encode(bits, enc)
+    assert output.read_bytes() == oracle.encode(expected, enc)
+    text = stats.render_report(battery)
+    assert report.read_text(encoding="utf-8") == text
+    assert capsys.readouterr().out == text
+    assert code == (0 if battery.passed else 3)

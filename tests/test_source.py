@@ -212,6 +212,47 @@ def test_generate_stream_dispatch():
         SourceConfig("laser", 1, 100)
 
 
+@pytest.mark.parametrize(
+    "kind, fields, message",
+    [
+        ("bernoulli", {}, "probability"),
+        ("bernoulli", {"p": 1.5}, "probability"),
+        ("bernoulli", {"p": math.nan}, "probability"),
+        ("markov", {"rho": 0.2}, "probability"),
+        ("markov", {"p": 0.5}, "autocorrelation"),
+        ("markov", {"p": 0.5, "rho": 1.0}, "autocorrelation"),
+        ("markov", {"p": 0.9, "rho": -0.5}, "no two-state chain"),
+        ("mtj", {}, "model"),
+        ("mtj", {"current_ua": 100.0}, "model"),
+        ("mtj", {"model": "t30"}, "finite current"),
+        ("mtj", {"model": "t30", "current_ua": math.inf}, "finite current"),
+        ("mtj", {"model": "t30", "current_ua": math.nan}, "finite current"),
+    ],
+)
+def test_source_config_rejects_what_its_generator_cannot_run(kind, fields, message):
+    if fields.get("model") == "t30":
+        fields = {**fields, "model": load_switching_models()[30.0]}
+    with pytest.raises(ValueError, match=message):
+        SourceConfig(kind, 0, 10, **fields)
+
+
+def test_source_config_rejects_a_negative_length():
+    model = load_switching_models()[30.0]
+    for kind, fields in (("bernoulli", {"p": 0.5}), ("markov", {"p": 0.5, "rho": 0.1}),
+                         ("mtj", {"model": model, "current_ua": 100.0})):
+        with pytest.raises(ValueError, match="length"):
+            SourceConfig(kind, 0, -1, **fields)
+
+
+def test_source_config_accepts_what_its_generator_runs():
+    # a constant stream has every rho; an empty one is still a stream
+    for p in (0.0, 1.0):
+        assert generate_stream(SourceConfig("markov", 0, 5, p=p, rho=-0.9)).tolist() == [p] * 5
+    assert generate_stream(SourceConfig("bernoulli", 0, 0, p=0.5)).size == 0
+    model = load_switching_models()[30.0]
+    assert generate_stream(SourceConfig("mtj", 0, 0, model=model, current_ua=0.0)).size == 0
+
+
 def test_preset_table():
     assert PRESETS["data-a"] == (0.511, 30.0)
     assert PRESETS["data-b"] == (0.276, 30.0)

@@ -109,6 +109,9 @@ def test_injection_modes_differ():
 def test_unknown_injection_mode_rejected():
     with pytest.raises(ValueError):
         lfsr_whiten(LfsrSpec((3, 1, 0)), 1, "0101", "sideways")
+    # the stage refuses the mode when built, not first when applied
+    with pytest.raises(ValueError, match="unknown injection mode"):
+        LfsrStage(LfsrSpec((3, 1, 0)), injection="bogus")
 
 
 def test_whitening_preserves_length():
