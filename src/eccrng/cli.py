@@ -44,6 +44,9 @@ from .whiten import (
 
 SEED_ENV_VAR = "ECCRNG_SEED"
 
+# How closely a preset's calibrated current must hit the preset's probability.
+PRESET_CALIBRATION_TOL = 1e-12
+
 # Published throughput reference points for the speed table (MHz).
 SPEED_REFERENCES = (
     ("rtn-reference-a", 2.0),
@@ -234,7 +237,8 @@ def _resolve_source(kind: str, value: str, args, seed: int) -> tuple[SourceConfi
     model = _load_model(args.model_config, t_write)
     if kind == "preset":
         try:
-            current = params["current_ua"] = calibrate_current(model, target=p, tol=1e-12)
+            current = calibrate_current(model, target=p, tol=PRESET_CALIBRATION_TOL)
+            params["current_ua"] = current
         except CalibrationError as exc:
             raise UsageError(f"preset {value}: {exc}") from None
     cfg = SourceConfig("mtj", seed, args.bits, model=model, current_ua=current)
@@ -455,7 +459,8 @@ def _add_stage_flags(p: _Parser) -> None:
     p.add_argument("--ecc", dest="stages", action="append", type=lambda v: ("ecc", v),
                    metavar="N,K,T",
                    help="code compression stage, e.g. 31,16,3 (repeatable, order matters)")
-    p.add_argument("--lfsr-seed", type=int, default=1, help="register preload for --lfsr stages")
+    p.add_argument("--lfsr-seed", type=int, default=LfsrStage.seed,
+                   help="register preload for --lfsr stages")
     p.add_argument("--injection", choices=[FEEDBACK_INJECTION, OUTPUT_XOR_INJECTION],
                    default=FEEDBACK_INJECTION)
 

@@ -215,8 +215,11 @@ def markov_stream(p: float, rho: float, seed, length: int) -> np.ndarray:
 
     Transition probabilities a = P(1->1) = p + rho(1-p) and
     b = P(0->1) = p(1-rho) give exactly the requested moments.  Generation
-    draws alternating geometric sojourns, which is fast and exact (the
-    chain is memoryless inside a run).
+    draws geometric sojourns, which is fast and exact (the chain is
+    memoryless inside a run), in batches of whole run pairs: a run in the
+    first state, then one in the other.  So every batch starts in the first
+    state, which one uniform draw picks before the loop.  The last batch is
+    cut to length.
     """
     a, b = _markov_transitions(p, rho)
     _check_length(length)
@@ -224,37 +227,22 @@ def markov_stream(p: float, rho: float, seed, length: int) -> np.ndarray:
     if p == 0.0 or p == 1.0:
         out.fill(int(p))
         return out
-    if length == 0:
-        return out
     rng = np.random.default_rng(seed)
     leave1 = 1.0 - a  # run-of-ones termination probability
     leave0 = b
-    cur = 1 if rng.random() < p else 0
-    filled = 0
+    first = 1 if rng.random() < p else 0
+    pair = np.array([first, 1 - first], dtype=np.uint8)
     mean_pair = 1.0 / leave1 + 1.0 / leave0
+    filled = 0
     while filled < length:
         need = length - filled
         pairs = max(8, int(need / mean_pair) + 8)
-        lens = np.empty(2 * pairs, dtype=np.int64)
-        vals = np.empty(2 * pairs, dtype=np.uint8)
-        lens[0::2] = rng.geometric(leave1 if cur else leave0, size=pairs)
-        lens[1::2] = rng.geometric(leave0 if cur else leave1, size=pairs)
-        vals[0::2] = cur
-        vals[1::2] = 1 - cur
-        csum = np.cumsum(lens)
-        cut = int(np.searchsorted(csum, need))
-        if cut < lens.size:
-            lens = lens[: cut + 1].copy()
-            lens[-1] -= int(csum[cut]) - need
-            seg = np.repeat(vals[: cut + 1], lens)
-            out[filled:] = seg
-            filled = length
-        else:
-            seg = np.repeat(vals, lens)
-            out[filled : filled + seg.size] = seg
-            filled += seg.size
-            # every drawn run was consumed whole, so the next run alternates
-            cur = 1 - int(vals[-1])
+        lens = np.empty((pairs, 2), dtype=np.int64)
+        lens[:, 0] = rng.geometric(leave1 if first else leave0, size=pairs)
+        lens[:, 1] = rng.geometric(leave0 if first else leave1, size=pairs)
+        seg = np.repeat(np.tile(pair, pairs), lens.ravel())[:need]
+        out[filled : filled + seg.size] = seg
+        filled += seg.size
     return out
 
 

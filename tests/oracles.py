@@ -11,13 +11,17 @@ and are checked against the shared passes of `eccrng.stats`; the spectral
 oracle takes one rfft over all n bits, where the kernel joins two half-length
 ones.  The ascii
 oracles go through Python text, as the first file reader and writer did,
-and are checked against the byte-level kernels of `eccrng.bitio`.
+and are checked against the byte-level kernels of `eccrng.bitio`.  The
+Markov oracle is the first batched generator, which cut its last batch
+through a cumulative sum of the run lengths and carried the current state
+from batch to batch; `markov_stream` must give its bits exactly.
 """
 
 import itertools
 
 import numpy as np
 
+from eccrng import source
 from eccrng.bitio import as_bit_array
 from eccrng.whiten import FEEDBACK_INJECTION
 
@@ -219,3 +223,51 @@ def insert_encode_ascii(bits):
         return b""
     breaks = np.arange(64, b.size, 64)
     return np.insert(b + ord("0"), breaks, ord("\n")).tobytes() + b"\n"
+
+
+def two_branch_markov_stream(p: float, rho: float, seed, length: int) -> np.ndarray:
+    """Stationary two-state Markov bits: P(1) = p, lag-1 autocorrelation rho.
+
+    Transition probabilities a = P(1->1) = p + rho(1-p) and
+    b = P(0->1) = p(1-rho) give exactly the requested moments.  Generation
+    draws alternating geometric sojourns, which is fast and exact (the
+    chain is memoryless inside a run).
+    """
+    a, b = source._markov_transitions(p, rho)
+    source._check_length(length)
+    out = np.empty(length, dtype=np.uint8)
+    if p == 0.0 or p == 1.0:
+        out.fill(int(p))
+        return out
+    if length == 0:
+        return out
+    rng = np.random.default_rng(seed)
+    leave1 = 1.0 - a  # run-of-ones termination probability
+    leave0 = b
+    cur = 1 if rng.random() < p else 0
+    filled = 0
+    mean_pair = 1.0 / leave1 + 1.0 / leave0
+    while filled < length:
+        need = length - filled
+        pairs = max(8, int(need / mean_pair) + 8)
+        lens = np.empty(2 * pairs, dtype=np.int64)
+        vals = np.empty(2 * pairs, dtype=np.uint8)
+        lens[0::2] = rng.geometric(leave1 if cur else leave0, size=pairs)
+        lens[1::2] = rng.geometric(leave0 if cur else leave1, size=pairs)
+        vals[0::2] = cur
+        vals[1::2] = 1 - cur
+        csum = np.cumsum(lens)
+        cut = int(np.searchsorted(csum, need))
+        if cut < lens.size:
+            lens = lens[: cut + 1].copy()
+            lens[-1] -= int(csum[cut]) - need
+            seg = np.repeat(vals[: cut + 1], lens)
+            out[filled:] = seg
+            filled = length
+        else:
+            seg = np.repeat(vals, lens)
+            out[filled : filled + seg.size] = seg
+            filled += seg.size
+            # every drawn run was consumed whole, so the next run alternates
+            cur = 1 - int(vals[-1])
+    return out

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, determinism, manifests, replay."""
 
+import inspect
 import json
 import re
 import shlex
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from eccrng.bitio import load_manifest, manifest_path_for, read_bit_file
-from eccrng.cli import main
+from eccrng.cli import build_parser, main
+from eccrng.source import calibrate_current, calibrate_current_empirical
 from eccrng.stats import parse_report
 
 
@@ -262,6 +264,20 @@ def test_help_exits_zero_without_a_traceback(capsys, command):
     out, err = capsys.readouterr()
     assert out.startswith(f"usage: eccrng {command} ")
     assert "Traceback" not in out + err
+
+
+def test_calibrate_flags_repeat_the_library_defaults(capsys):
+    # --target's default is printed, so it stays a copy; --tol's is only named in its help
+    analytic, empirical = (inspect.signature(f).parameters
+                           for f in (calibrate_current, calibrate_current_empirical))
+    target = build_parser().parse_args(["calibrate"]).target
+    assert target == analytic["target"].default == empirical["target"].default
+    with pytest.raises(SystemExit):
+        main(["calibrate", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    tols = re.search(r"--tol TOL default (\S+) analytic, (\S+) empirical", help_text)
+    assert tols is not None
+    assert (float(tols[1]), float(tols[2])) == (analytic["tol"].default, empirical["tol"].default)
 
 
 def test_bench_rejects_bad_source():

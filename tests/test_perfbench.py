@@ -1,25 +1,31 @@
 """The benchmark's jobs on small captures: on every workload, the in-process
 job's traced and untraced passes agree, and they and the CLI chain give the
-bits and the file bytes of the benchmark's independent reference pipeline."""
+bits and the file bytes of the benchmark's independent reference pipeline.
+At full length, each workload's seed-0 capture has the digest the benchmark
+checks, and the workloads' copies of CLI defaults equal the CLI's."""
 
 import dataclasses
 import hashlib
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 
 import jobs  # noqa: E402
 import oracle  # noqa: E402
 import spans  # noqa: E402
-from workloads import LFSR_SEED, WORKLOADS  # noqa: E402
+from workloads import LFSR_SEED, PRESET_CALIBRATION_TOL, WORKLOADS  # noqa: E402
 
-from eccrng import stats  # noqa: E402
+from eccrng import cli, stats  # noqa: E402
 from eccrng.cli import main  # noqa: E402
 from eccrng.source import generate_stream  # noqa: E402
+
+REFERENCES = json.loads((PERFBENCH / "references.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -65,3 +71,19 @@ def test_cli_chain_matches_the_reference(tmp_path, monkeypatch, capsys, name):
     assert report.read_text(encoding="utf-8") == text
     assert capsys.readouterr().out == text
     assert code == (0 if battery.passed else 3)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_full_length_capture_matches_the_reference(name):
+    # the benchmark refuses a run whose capture digest differs from this one
+    w = WORKLOADS[name]
+    capture = generate_stream(jobs.source_config(w, 0, w.bits))
+    sha = hashlib.sha256(oracle.encode(capture, w.encoding)).hexdigest()
+    assert sha == REFERENCES[name]["0"]["capture_sha"]
+
+
+def test_workload_defaults_are_the_cli_defaults():
+    # the workloads leave --lfsr-seed unset, and presets calibrate at the CLI's tolerance
+    args = cli.build_parser().parse_args(["postprocess", "in", "--output", "out"])
+    assert LFSR_SEED == args.lfsr_seed
+    assert PRESET_CALIBRATION_TOL == cli.PRESET_CALIBRATION_TOL

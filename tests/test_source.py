@@ -1,6 +1,7 @@
 """Entropy-source simulation: Bernoulli, Markov, switching-curve model."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from eccrng.source import (
     switching_probability,
 )
 from eccrng.whiten import von_neumann
+from oracles import two_branch_markov_stream
 
 
 def test_bernoulli_is_deterministic_per_seed():
@@ -80,6 +82,62 @@ def test_markov_infeasible_pair_rejected():
         markov_stream(0.9, -0.5, 0, 10)
     with pytest.raises(ValueError):
         markov_stream(0.5, 1.0, 0, 10)
+
+
+class _CountingRng:
+    """A Generator that counts its geometric calls: markov_stream makes two
+    per batch."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.geometric_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def geometric(self, *args, **kwargs):
+        self.geometric_calls += 1
+        return self._rng.geometric(*args, **kwargs)
+
+
+def test_markov_stream_matches_the_two_branch_oracle(monkeypatch):
+    made = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed):
+        made.append(_CountingRng(default_rng(seed)))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    batches = set()
+    pairs = ((0.36, 0.2), (0.5, 0.0), (0.5, 0.9), (0.3, -0.4), (0.9, -0.05), (0.276, 0.3),
+             (0.0, 0.5), (1.0, -0.3))
+    for p, rho in pairs:
+        for seed in range(10):
+            for length in (0, 1, 2, 7, 8, 9, 1000, 12_345, 100_003):
+                expected = two_branch_markov_stream(p, rho, seed, length)
+                made.clear()
+                got = markov_stream(p, rho, seed, length)
+                assert got.dtype == expected.dtype == np.uint8
+                assert np.array_equal(got, expected), (p, rho, seed, length)
+                if made:
+                    batches.add(made[0].geometric_calls // 2)
+    # draws that the first batch covers, and draws that need a second one
+    assert 1 in batches
+    assert max(batches) >= 2
+
+
+def test_markov_stream_stays_within_six_bytes_per_bit():
+    # cutting the batch through a cumulative sum held 8.27 traced bytes per
+    # bit; the int64 run lengths of the draws are most of what is left
+    n = 2_000_000
+    tracemalloc.start()
+    try:
+        markov_stream(0.36, 0.2, 1, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * n
 
 
 def test_correlation_lowers_von_neumann_yield():
