@@ -354,6 +354,77 @@ def _count_below(f: np.ndarray, limit: float) -> int:
     return int(np.count_nonzero(sq < limit))
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The prime factors of n >= 1 with multiplicity, ascending, by trial division."""
+    factors, d = [], 2
+    while d * d <= n:
+        while n % d == 0:
+            factors.append(d)
+            n //= d
+        d += 1
+    return factors + [n] * (n > 1)
+
+
+def _fast_length(n: int) -> int:
+    """The smallest 2*3*5*7*11-smooth length >= n, which pocketfft runs without padding."""
+    odd = [1]
+    for p in (3, 5, 7, 11):
+        # the answer is below 2n, and so is its odd part
+        odd = [x * p**e for x in odd for e in range(int(math.log(2 * n, p)) + 2)
+               if x * p**e < 2 * n]
+    return min(x << (-(-n // x) - 1).bit_length() for x in odd)
+
+
+def _rfft_pads(n: int) -> bool:
+    """Whether pocketfft runs an rfft of length n by Bluestein, padded to >= 2n - 1.
+
+    This is pocketfft's own rule: only at n >= 50 with a prime factor p,
+    p^2 > n, and when its cost guess favours two complex FFTs at the padded
+    length, with a fudge factor of 1.5, over half of the real one at n.  The
+    guess for length k is k times the sum of k's prime factors, those above
+    5 weighted 1.1.
+    """
+    factors = _prime_factors(n)
+    if n < 50 or factors[-1] ** 2 <= n:
+        return False
+
+    def cost(k: int) -> float:
+        return k * sum(p if p <= 5 else 1.1 * p for p in _prime_factors(k))
+
+    return 1.5 * 2 * cost(_fast_length(2 * n - 1)) < 0.5 * cost(n)
+
+
+def _chirp_z_count(b: np.ndarray, limit: float) -> int:
+    """Bins k < n // 2 with |X_k|^2 < limit, X the DFT of 2b - 1, by chirp z.
+
+    With jk = (j^2 + k^2 - (k - j)^2) / 2 and c_j = e^(i pi j^2 / n),
+        X_k = conj(c_k) * sum_j (x_j conj(c_j)) c_(k-j),
+    one circular convolution of length L >= n + n // 2 - 1, and |conj(c_k)| = 1.
+    For odd n = 2m + 1, c_(n-j) = -c_j, so only c_0 .. c_m are computed.
+    """
+    n = b.size
+    m = n // 2
+    size = _fast_length(max(n + m - 1, 1))
+    # j^2 mod 2n is exact in int64 for n < 3e9, and c has period 2n in j^2
+    c = np.exp(1j * math.pi / n * (np.arange(m + 1, dtype=np.int64) ** 2 % (2 * n)))
+    # c_(k-j) for k - j = 0 .. m - 1 at the start, and -1 .. -(n - 1) at the end
+    kernel = np.zeros(size, dtype=np.complex128)
+    kernel[:m] = c[:m]
+    kernel[size - 2 * m : size - m] = -c[1:]
+    kernel[size - m :] = c[m:0:-1]
+    a = np.zeros(size, dtype=np.complex128)
+    a[: m + 1] = c.conj()
+    a[m + 1 : n] = -c[m:0:-1].conj()
+    del c
+    a[:n] *= b * 2.0 - 1.0
+    np.fft.fft(kernel, out=kernel)
+    np.fft.fft(a, out=a)
+    a *= kernel
+    del kernel
+    np.fft.ifft(a, out=a)
+    return _count_below(a[:m].view(np.float64).reshape(m, 2), limit)
+
+
 def _spectral_count(b: np.ndarray, threshold: float) -> int:
     """Bins k < n/2 with |X_k| < threshold, X the DFT of 2b - 1.
 
@@ -361,10 +432,15 @@ def _spectral_count(b: np.ndarray, threshold: float) -> int:
     samples, so for 0 <= k <= m/2, with w = e^(-2 pi i / n),
         X_k = E_k + w^k O_k,   and, x being real,   |X_(m-k)| = |E_k - w^k O_k|.
     One butterfly over the two half spectra gives every bin below m.  Odd n
-    has no such split and keeps one rfft over all n samples.
+    has no such split.  Where pocketfft would pad one rfft of length n to
+    about 2n by Bluestein (_rfft_pads: a large prime factor), the n // 2
+    bins come from a chirp z transform of length about 1.5n instead
+    (_chirp_z_count); any other odd n keeps one rfft over all n samples.
     """
     n = b.size
     if n % 2:
+        if _rfft_pads(n):
+            return _chirp_z_count(b, threshold * threshold)
         mags = np.abs(np.fft.rfft(b.astype(np.float64) * 2.0 - 1.0))[: n // 2]
         return int((mags < threshold).sum())
     m = n // 2
@@ -407,10 +483,12 @@ def _spectral_count(b: np.ndarray, threshold: float) -> int:
 def spectral_test(bits, alpha: float = DEFAULT_ALPHA, min_length: int = 1000) -> TestResult:
     """DFT peak count below the 95% threshold versus its expectation.
 
-    The count runs over the bins k < n/2 of the DFT of 2b - 1.  For even n
-    it comes from two half-length rffts joined by one radix-2 butterfly (see
-    _spectral_count), which takes less time and memory than one rfft of
-    length n; an odd n has no even/odd split and keeps the single rfft.
+    The count runs over the bins k < n/2 of the DFT of 2b - 1, by one of
+    three paths (see _spectral_count), each taking less time and memory than
+    one rfft of length n would there: for even n, two half-length rffts
+    joined by one radix-2 butterfly; for odd n with a large prime factor,
+    where pocketfft would pad that rfft to about 2n, a chirp z transform of
+    length about 1.5n; for any other odd n, the single rfft.
     """
     b = _bits(bits).b
     n = b.size

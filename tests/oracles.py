@@ -9,7 +9,7 @@ free-run period of each maximal-length tap set.  The battery
 oracles compute each statistic over every bit in int64, one test at a time,
 and are checked against the shared passes of `eccrng.stats`; the spectral
 oracle takes one rfft over all n bits, where the kernel joins two half-length
-ones.  The ascii
+ones at even n and runs a chirp z transform where pocketfft would pad.  The ascii
 oracles go through Python text, as the first file reader and writer did,
 and are checked against the byte-level kernels of `eccrng.bitio`.  The
 Markov oracle is the first batched generator, which cut its last batch

@@ -1,6 +1,9 @@
 """Battery tests: frozen reference P-values, cross-library checks, verdict rules."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,8 +28,10 @@ from eccrng.stats import (
     EmptyBatteryError,
     _Bits,
     _chi2_sf,
+    _chirp_z_count,
     _longest_run_classes,
     _normal_cdf,
+    _rfft_pads,
     _spectral_count,
     approximate_entropy_test,
     block_frequency_test,
@@ -251,7 +256,60 @@ def test_spectral_count_matches_one_rfft(n):
         inputs += [np.zeros(n, np.uint8), np.ones(n, np.uint8), alternating, 1 - alternating]
     threshold = _spectral_threshold(n)
     for b in inputs:
-        assert _spectral_count(b, threshold) == rfft_spectral_count(b, threshold), (n, b[:8])
+        expected = rfft_spectral_count(b, threshold)
+        assert _spectral_count(b, threshold) == expected, (n, b[:8])
+        # the dispatch sends none of these short lengths to the chirp z path
+        if n % 2:
+            assert _chirp_z_count(b, threshold * threshold) == expected, (n, b[:8])
+
+
+@pytest.mark.parametrize(
+    "n, pads",
+    # primes, and 3 * 174,763: a large prime factor, so pocketfft pads
+    [(65_537, True), (131_071, True), (524_287, True), (524_289, True), (2_280_011, True)]
+    # smooth lengths
+    + [(1001, False), (3**9, False), (5**7, False)]
+    # 17 * 59 and 3^3 * 13 * 563: p^2 > n, but pocketfft's cost guess keeps them unpadded
+    + [(1003, False), (197_613, False)],
+)
+def test_spectral_count_at_long_odd_lengths(n, pads):
+    assert _rfft_pads(n) == pads
+    rng = np.random.default_rng(n)
+    b = (rng.random(n) < 0.45).astype(np.uint8)
+    threshold = _spectral_threshold(n)
+    assert _spectral_count(b, threshold) == rfft_spectral_count(b, threshold)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_spectral_count_at_the_prime_benchmark_length_stays_under_260_mib():
+    # VmHWM of a fresh interpreter: ru_maxrss would start from this process's
+    # high-water mark, and tracemalloc does not see pocketfft's buffers
+    code = """
+import math
+from eccrng.source import bernoulli_stream
+from eccrng.stats import _spectral_count
+
+def hwm():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+
+n = 2_280_011
+b = bernoulli_stream(0.5, 1, n)
+before = hwm()
+_spectral_count(b, math.sqrt(math.log(20.0) * n))
+print(hwm() - before)
+"""
+    src = os.path.dirname(os.path.dirname(stats.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert int(child.stdout) <= 260 * 1024
 
 
 def test_spectral_count_on_a_period_two_string():
@@ -261,9 +319,9 @@ def test_spectral_count_on_a_period_two_string():
     assert _spectral_count(b, threshold) == rfft_spectral_count(b, threshold) == 1000
 
 
-@pytest.mark.parametrize("n", [2_064_512, 1_142_856])
+@pytest.mark.parametrize("n", [2_064_512, 2_280_011, 1_142_856])
 def test_battery_at_the_benchmark_lengths_matches_the_rfft_count(n, monkeypatch):
-    # the two even battery lengths of the benchmark workloads
+    # the battery lengths of the benchmark workloads: two even, and one prime
     bits = bernoulli_stream(0.5, n % 1000, n)
     report = run_battery(bits)
     monkeypatch.setattr(stats, "_spectral_count", rfft_spectral_count)
