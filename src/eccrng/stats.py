@@ -344,13 +344,10 @@ def approximate_entropy_test(
     return _result("approximate_entropy", [p], alpha, params)
 
 
-_BUTTERFLY_CHUNK = 1 << 16
-
-
 def _count_below(f: np.ndarray, limit: float) -> int:
-    """Rows (re, im) of the float array f with re^2 + im^2 < limit; f is overwritten."""
+    """Pairs (re, im) on the last axis of float array f with re^2 + im^2 < limit; overwrites f."""
     f *= f
-    sq = np.add(f[:, 0], f[:, 1], out=f[:, 0])
+    sq = np.add(f[..., 0], f[..., 1], out=f[..., 0])
     return int(np.count_nonzero(sq < limit))
 
 
@@ -425,70 +422,73 @@ def _chirp_z_count(b: np.ndarray, limit: float) -> int:
     return _count_below(a[:m].view(np.float64).reshape(m, 2), limit)
 
 
-def _spectral_count(b: np.ndarray, threshold: float) -> int:
-    """Bins k < n/2 with |X_k| < threshold, X the DFT of 2b - 1.
+_COLUMN_BLOCK = 1 << 16  # complex values per block of the four-step column FFTs
 
-    For even n = 2m, E and O are the rffts of the m even and the m odd
-    samples, so for 0 <= k <= m/2, with w = e^(-2 pi i / n),
-        X_k = E_k + w^k O_k,   and, x being real,   |X_(m-k)| = |E_k - w^k O_k|.
-    One butterfly over the two half spectra gives every bin below m.  Odd n
-    has no such split.  Where pocketfft would pad one rfft of length n to
-    about 2n by Bluestein (_rfft_pads: a large prime factor), the n // 2
-    bins come from a chirp z transform of length about 1.5n instead
-    (_chirp_z_count); any other odd n keeps one rfft over all n samples.
+
+def _spectral_count(b: np.ndarray, threshold: float) -> int:
+    """Bins k < n // 2 with |X_k| < threshold, X the DFT of 2b - 1.
+
+    Where pocketfft would pad one rfft of length n to about 2n by Bluestein
+    (_rfft_pads: odd n with a large prime factor), the bins come from a chirp
+    z transform of length about 1.5n (_chirp_z_count).  Every other n takes
+    Bailey's four steps of short FFTs, each pass in cache: with n = d q, d
+    the largest divisor of n up to sqrt(n), and F_r the rfft of the q samples
+    x_(r + d i), every bin j + q s (j < q, s < d) is
+        X_(j + q s) = sum_r e^(-2 pi i r s / d) (e^(-2 pi i r j / n) F_r[j]),
+    one length-d FFT Y[., j] down each twiddled column j of the leaves F.
+    Only the columns j <= q // 2 exist; x being real, Y[s, j] for
+    1 <= j <= (q - 1) // 2 is also the mirror bin n - j - q s = q (d - s) - j.
     """
     n = b.size
-    if n % 2:
-        if _rfft_pads(n):
-            return _chirp_z_count(b, threshold * threshold)
-        mags = np.abs(np.fft.rfft(b.astype(np.float64) * 2.0 - 1.0))[: n // 2]
-        return int((mags < threshold).sum())
-    m = n // 2
-    h = m // 2 + 1
-    # one rfft call per half: a single call over both rows holds more memory
-    spec = np.empty((2, h), dtype=np.complex128)
-    half = np.empty(m)
-    for j, samples in enumerate(b.reshape(m, 2).T):
-        half[...] = samples
-        half *= 2.0
-        half -= 1.0
-        np.fft.rfft(half, out=spec[j])
-    del half
-    # w^k for k below one chunk, as a 256-row coarse x fine table product
-    c = min(_BUTTERFLY_CHUNK, h)
-    angle = -2.0 * math.pi / n
-    fine = np.exp(1j * angle * np.arange(256))
-    coarse = np.exp(1j * angle * 256 * np.arange(-(-c // 256)))
-    twiddle = (coarse[:, None] * fine).ravel()[:c]
-    # complex sums and differences run as float ones on (re, im) rows
-    reim = spec.view(np.float64).reshape(2, h, 2)
-    t = np.empty(c, dtype=np.complex128)
-    t_reim = t.view(np.float64).reshape(c, 2)
-    s_reim = np.empty((c, 2))
     limit = threshold * threshold
-    top = (m + 1) // 2  # E_k - w^k O_k gives bin m - k for 1 <= k < top
+    if n % 2 and _rfft_pads(n):
+        return _chirp_z_count(b, limit)
+    d = max(k for k in range(1, math.isqrt(n) + 1) if n % k == 0)
+    q = n // d
+    h = q // 2 + 1
+    leaves = np.empty((d, h), dtype=np.complex128)
+    rows = min(d, max(1, (1 << 18) // q))  # a float64 buffer of 2 MB, or one leaf
+    buf = np.empty((rows, q))
+    for r0 in range(0, d, rows):
+        x = buf[: min(rows, d - r0)]
+        np.multiply(b.reshape(q, d).T[r0 : r0 + len(x)], 2.0, out=x)
+        x -= 1.0
+        np.fft.rfft(x, axis=1, out=leaves[r0 : r0 + len(x)])
+    del buf, x
+    c = min(h, max(1, _COLUMN_BLOCK // d))
+    r = np.arange(d, dtype=np.int64)
+    angle = -2.0 * math.pi / n
+    twiddle = np.exp(1j * angle * (r[:, None] * np.arange(c)))
+    y = np.empty((d, c), dtype=np.complex128)
+    last = n // 2 - 1
+    # each bin up to last once, as (rows, j from, j to) of Y: bins j + q s in
+    # the rows below s1 and row s1 up to j = last - q s1; mirror bins
+    # q (d - s) - j in the u rows from d - u and row d - u - 1 from q (u + 1) - last
+    s1, u = max(last, 0) // q, (last + 1) // q
+    blocks = ((slice(0, s1), 0, h), (s1, 0, last - q * s1 + 1),
+              (slice(d - u, d), 1, (q + 1) // 2), (d - u - 1, q * (u + 1) - last, (q + 1) // 2))
     count = 0
-    for k0 in range(0, h, c):
-        width = min(c, h - k0)
-        tk = np.multiply(spec[1, k0 : k0 + width], twiddle[:width], out=t[:width])
-        tk *= complex(math.cos(angle * k0), math.sin(angle * k0))
-        e, tf, sf = reim[0, k0 : k0 + width], t_reim[:width], s_reim[:width]
-        np.add(e, tf, out=sf)
-        np.subtract(e, tf, out=tf)
-        count += _count_below(sf, limit)
-        count += _count_below(tf[max(1 - k0, 0) : max(top - k0, 0)], limit)
+    for j0 in range(0, h, c):
+        w = min(c, h - j0)
+        g = np.multiply(leaves[:, j0 : j0 + w], twiddle[:, :w], out=y[:, :w])
+        g *= np.exp(1j * angle * (r * j0 % n))[:, None]  # r j0 < n^1.5 fits in int64
+        np.fft.fft(g, axis=0, out=g)
+        reim = g.view(np.float64).reshape(d, w, 2)
+        for s, lo, hi in blocks:
+            lo, hi = max(lo - j0, 0), min(hi - j0, w)
+            if lo < hi:  # the four blocks are disjoint, so each entry is squared once
+                count += _count_below(reim[s, lo:hi], limit)
     return count
 
 
 def spectral_test(bits, alpha: float = DEFAULT_ALPHA, min_length: int = 1000) -> TestResult:
     """DFT peak count below the 95% threshold versus its expectation.
 
-    The count runs over the bins k < n/2 of the DFT of 2b - 1, by one of
-    three paths (see _spectral_count), each taking less time and memory than
-    one rfft of length n would there: for even n, two half-length rffts
-    joined by one radix-2 butterfly; for odd n with a large prime factor,
-    where pocketfft would pad that rfft to about 2n, a chirp z transform of
-    length about 1.5n; for any other odd n, the single rfft.
+    The count runs over the bins k < n // 2 of the DFT of 2b - 1, by one of
+    two paths (see _spectral_count): for odd n with a large prime factor,
+    where pocketfft would pad one rfft to about 2n, a chirp z transform of
+    length about 1.5n; for any other n, Bailey's four steps of short FFTs.
+    At the battery's million-bit lengths each beats one rfft of length n.
     """
     b = _bits(bits).b
     n = b.size

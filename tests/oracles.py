@@ -8,8 +8,9 @@ them useful as references: tests compare `lfsr_whiten`,
 free-run period of each maximal-length tap set.  The battery
 oracles compute each statistic over every bit in int64, one test at a time,
 and are checked against the shared passes of `eccrng.stats`; the spectral
-oracle takes one rfft over all n bits, where the kernel joins two half-length
-ones at even n and runs a chirp z transform where pocketfft would pad.  The ascii
+oracle takes one rfft over all n bits, where the kernel runs a chirp z
+transform where pocketfft would pad and, at every other length, Bailey's four
+steps of short rffts and FFTs.  The ascii
 oracles go through Python text, as the first file reader and writer did,
 and are checked against the byte-level kernels of `eccrng.bitio`.  The
 Markov oracle is the first batched generator, which cut its last batch
@@ -190,7 +191,7 @@ def two_cumsum_walk_extremes(b):
 
 
 def rfft_spectral_count(b, threshold):
-    """Bins k < n/2 with |X_k| < threshold, X the DFT of 2b - 1, from one
+    """Bins k < n // 2 with |X_k| < threshold, X the DFT of 2b - 1, from one
     rfft of length n."""
     x = np.asarray(b, dtype=np.float64) * 2.0 - 1.0
     return int((np.abs(np.fft.rfft(x))[: x.size // 2] < threshold).sum())

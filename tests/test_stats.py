@@ -232,15 +232,19 @@ def _spectral_threshold(n):
     return math.sqrt(math.log(1.0 / 0.05) * n)
 
 
-# every residue mod 4, powers of two, and even lengths whose half spectrum
-# (n/4 + 1 bins) ends one short of, at, and one past a whole number of
-# butterfly chunks
+# every residue mod 4, powers of two, lengths near 2^18 and 2^19 that split
+# as 2 p, 4 p, 2 * 3 * p and smooth ones, and lengths n = d q whose q // 2 + 1
+# columns end one short of (258,825 = 493 * 525, 259,081 = 509^2, 258,352 =
+# 482 * 536), at (259,811 = 493 * 527, 259,316 = 482 * 538, 262,142 = 2 * 131,071)
+# and one past (130,745 = 331 * 395, 130,468 = 338 * 386, 131,074 = 2 * 65,537)
+# a whole number of the four-step count's column blocks
 SPECTRAL_LENGTHS = sorted(
     set(range(1, 70))
     | {1000, 1001, 1002, 1003}
     | {1 << p for p in range(1, 19)}
-    | {4 * (k * stats._BUTTERFLY_CHUNK + d - 1) + r
-       for k in (1, 2) for d in (-1, 0, 1) for r in (0, 2)}
+    | {262_136, 262_138, 262_140, 262_142, 262_146}
+    | {524_280, 524_282, 524_284, 524_286, 524_288, 524_290}
+    | {258_825, 259_081, 258_352, 259_811, 259_316, 130_745, 130_468, 131_074}
 )
 
 
@@ -268,7 +272,7 @@ def test_spectral_count_matches_one_rfft(n):
     # primes, and 3 * 174,763: a large prime factor, so pocketfft pads
     [(65_537, True), (131_071, True), (524_287, True), (524_289, True), (2_280_011, True)]
     # smooth lengths
-    + [(1001, False), (3**9, False), (5**7, False)]
+    + [(1001, False), (3**9, False), (5**7, False), (999_999, False)]
     # 17 * 59 and 3^3 * 13 * 563: p^2 > n, but pocketfft's cost guess keeps them unpadded
     + [(1003, False), (197_613, False)],
 )
@@ -280,11 +284,27 @@ def test_spectral_count_at_long_odd_lengths(n, pads):
     assert _spectral_count(b, threshold) == rfft_spectral_count(b, threshold)
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
-def test_spectral_count_at_the_prime_benchmark_length_stays_under_260_mib():
-    # VmHWM of a fresh interpreter: ru_maxrss would start from this process's
-    # high-water mark, and tracemalloc does not see pocketfft's buffers
-    code = """
+def test_spectral_count_at_random_lengths():
+    rng = np.random.default_rng(2026)
+    for n in rng.integers(1000, 300_001, size=100):
+        b = (rng.random(n) < rng.uniform(0.05, 0.5)).astype(np.uint8)
+        threshold = _spectral_threshold(n)
+        assert _spectral_count(b, threshold) == rfft_spectral_count(b, threshold), n
+
+
+# 2 * 7 * 162,859: the four-step leaves have a large prime length, so pocketfft pads them
+@pytest.mark.parametrize("n", [2_280_026])
+def test_spectral_count_at_long_even_lengths(n):
+    b = (np.random.default_rng(n).random(n) < 0.45).astype(np.uint8)
+    threshold = _spectral_threshold(n)
+    assert _spectral_count(b, threshold) == rfft_spectral_count(b, threshold)
+
+
+def _spectral_count_memory_kib(n):
+    """VmHWM growth of a fresh interpreter over one _spectral_count call at
+    length n: ru_maxrss would start from this process's high-water mark, and
+    tracemalloc does not see pocketfft's buffers."""
+    code = f"""
 import math
 from eccrng.source import bernoulli_stream
 from eccrng.stats import _spectral_count
@@ -293,7 +313,7 @@ def hwm():
     with open("/proc/self/status") as f:
         return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
 
-n = 2_280_011
+n = {n}
 b = bernoulli_stream(0.5, 1, n)
 before = hwm()
 _spectral_count(b, math.sqrt(math.log(20.0) * n))
@@ -309,7 +329,18 @@ print(hwm() - before)
         timeout=120,
     )
     assert child.returncode == 0, child.stderr
-    assert int(child.stdout) <= 260 * 1024
+    return int(child.stdout)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_spectral_count_at_the_prime_benchmark_length_stays_under_260_mib():
+    assert _spectral_count_memory_kib(2_280_011) <= 260 * 1024
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_spectral_count_at_the_lfsr_benchmark_length_stays_under_12_mib():
+    # the leaves, n / 2 complex values, are the only large array
+    assert _spectral_count_memory_kib(2_064_512) <= 12 * 1024
 
 
 def test_spectral_count_on_a_period_two_string():
