@@ -351,17 +351,6 @@ def _count_below(f: np.ndarray, limit: float) -> int:
     return int(np.count_nonzero(sq < limit))
 
 
-def _prime_factors(n: int) -> list[int]:
-    """The prime factors of n >= 1 with multiplicity, ascending, by trial division."""
-    factors, d = [], 2
-    while d * d <= n:
-        while n % d == 0:
-            factors.append(d)
-            n //= d
-        d += 1
-    return factors + [n] * (n > 1)
-
-
 def _fast_length(n: int) -> int:
     """The smallest 2*3*5*7*11-smooth length >= n, which pocketfft runs without padding."""
     odd = [1]
@@ -372,27 +361,11 @@ def _fast_length(n: int) -> int:
     return min(x << (-(-n // x) - 1).bit_length() for x in odd)
 
 
-def _rfft_pads(n: int) -> bool:
-    """Whether pocketfft runs an rfft of length n by Bluestein, padded to >= 2n - 1.
-
-    This is pocketfft's own rule: only at n >= 50 with a prime factor p,
-    p^2 > n, and when its cost guess favours two complex FFTs at the padded
-    length, with a fudge factor of 1.5, over half of the real one at n.  The
-    guess for length k is k times the sum of k's prime factors, those above
-    5 weighted 1.1.
-    """
-    factors = _prime_factors(n)
-    if n < 50 or factors[-1] ** 2 <= n:
-        return False
-
-    def cost(k: int) -> float:
-        return k * sum(p if p <= 5 else 1.1 * p for p in _prime_factors(k))
-
-    return 1.5 * 2 * cost(_fast_length(2 * n - 1)) < 0.5 * cost(n)
-
-
 def _chirp_z_count(b: np.ndarray, limit: float) -> int:
     """Bins k < n // 2 with |X_k|^2 < limit, X the DFT of 2b - 1, by chirp z.
+
+    _spectral_count runs it at odd prime n only; any other n takes the
+    four-step count.
 
     With jk = (j^2 + k^2 - (k - j)^2) / 2 and c_j = e^(i pi j^2 / n),
         X_k = conj(c_k) * sum_j (x_j conj(c_j)) c_(k-j),
@@ -428,9 +401,8 @@ _COLUMN_BLOCK = 1 << 16  # complex values per block of the four-step column FFTs
 def _spectral_count(b: np.ndarray, threshold: float) -> int:
     """Bins k < n // 2 with |X_k| < threshold, X the DFT of 2b - 1.
 
-    Where pocketfft would pad one rfft of length n to about 2n by Bluestein
-    (_rfft_pads: odd n with a large prime factor), the bins come from a chirp
-    z transform of length about 1.5n (_chirp_z_count).  Every other n takes
+    An odd prime n has no four-step split, so its bins come from a chirp z
+    transform of length about 1.5n (_chirp_z_count).  Every other n takes
     Bailey's four steps of short FFTs, each pass in cache: with n = d q, d
     the largest divisor of n up to sqrt(n), and F_r the rfft of the q samples
     x_(r + d i), every bin j + q s (j < q, s < d) is
@@ -441,9 +413,9 @@ def _spectral_count(b: np.ndarray, threshold: float) -> int:
     """
     n = b.size
     limit = threshold * threshold
-    if n % 2 and _rfft_pads(n):
-        return _chirp_z_count(b, limit)
     d = max(k for k in range(1, math.isqrt(n) + 1) if n % k == 0)
+    if d == 1 and n > 2:  # an odd prime
+        return _chirp_z_count(b, limit)
     q = n // d
     h = q // 2 + 1
     leaves = np.empty((d, h), dtype=np.complex128)
@@ -485,9 +457,8 @@ def spectral_test(bits, alpha: float = DEFAULT_ALPHA, min_length: int = 1000) ->
     """DFT peak count below the 95% threshold versus its expectation.
 
     The count runs over the bins k < n // 2 of the DFT of 2b - 1, by one of
-    two paths (see _spectral_count): for odd n with a large prime factor,
-    where pocketfft would pad one rfft to about 2n, a chirp z transform of
-    length about 1.5n; for any other n, Bailey's four steps of short FFTs.
+    two paths (see _spectral_count): for an odd prime n, a chirp z transform
+    of length about 1.5n; for any other n, Bailey's four steps of short FFTs.
     At the battery's million-bit lengths each beats one rfft of length n.
     """
     b = _bits(bits).b

@@ -9,7 +9,7 @@ free-run period of each maximal-length tap set.  The battery
 oracles compute each statistic over every bit in int64, one test at a time,
 and are checked against the shared passes of `eccrng.stats`; the spectral
 oracle takes one rfft over all n bits, where the kernel runs a chirp z
-transform where pocketfft would pad and, at every other length, Bailey's four
+transform at an odd prime length and, at every other length, Bailey's four
 steps of short rffts and FFTs.  The ascii
 oracles go through Python text, as the first file reader and writer did,
 and are checked against the byte-level kernels of `eccrng.bitio`.  The

@@ -31,7 +31,6 @@ from eccrng.stats import (
     _chirp_z_count,
     _longest_run_classes,
     _normal_cdf,
-    _rfft_pads,
     _spectral_count,
     approximate_entropy_test,
     block_frequency_test,
@@ -262,26 +261,36 @@ def test_spectral_count_matches_one_rfft(n):
     for b in inputs:
         expected = rfft_spectral_count(b, threshold)
         assert _spectral_count(b, threshold) == expected, (n, b[:8])
-        # the dispatch sends none of these short lengths to the chirp z path
+        # the dispatch sends the odd primes 3 to 67 to the chirp z path and the
+        # other lengths to the four-step; every odd length is checked on both
         if n % 2:
             assert _chirp_z_count(b, threshold * threshold) == expected, (n, b[:8])
 
 
 @pytest.mark.parametrize(
-    "n, pads",
-    # primes, and 3 * 174,763: a large prime factor, so pocketfft pads
-    [(65_537, True), (131_071, True), (524_287, True), (524_289, True), (2_280_011, True)]
+    "n, prime",
+    # primes: the chirp z path
+    [(65_537, True), (131_071, True), (524_287, True), (2_280_011, True)]
     # smooth lengths
     + [(1001, False), (3**9, False), (5**7, False), (999_999, False)]
-    # 17 * 59 and 3^3 * 13 * 563: p^2 > n, but pocketfft's cost guess keeps them unpadded
-    + [(1003, False), (197_613, False)],
+    # a prime factor p with p^2 > n: 17 * 59, 3^3 * 13 * 563, 3 * 174,763,
+    # 991 * 1,009, 7 * 11 * 13 * 1,009 and 23 * 99,131 take the four-step path
+    + [(1003, False), (197_613, False), (524_289, False), (999_919, False), (1_010_009, False),
+       (2_280_013, False)],
 )
-def test_spectral_count_at_long_odd_lengths(n, pads):
-    assert _rfft_pads(n) == pads
+def test_spectral_count_at_long_odd_lengths(n, prime, monkeypatch):
+    calls = []
+
+    def chirp_z_count(b, limit):
+        calls.append(b.size)
+        return _chirp_z_count(b, limit)
+
+    monkeypatch.setattr(stats, "_chirp_z_count", chirp_z_count)
     rng = np.random.default_rng(n)
     b = (rng.random(n) < 0.45).astype(np.uint8)
     threshold = _spectral_threshold(n)
     assert _spectral_count(b, threshold) == rfft_spectral_count(b, threshold)
+    assert calls == ([n] if prime else [])
 
 
 def test_spectral_count_at_random_lengths():
@@ -341,6 +350,12 @@ def test_spectral_count_at_the_prime_benchmark_length_stays_under_260_mib():
 def test_spectral_count_at_the_lfsr_benchmark_length_stays_under_12_mib():
     # the leaves, n / 2 complex values, are the only large array
     assert _spectral_count_memory_kib(2_064_512) <= 12 * 1024
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_spectral_count_at_an_odd_composite_length_stays_under_40_mib():
+    # 23 * 99,131: the four-step's 23 leaves, not a chirp z convolution of about 1.5n
+    assert _spectral_count_memory_kib(2_280_013) <= 40 * 1024
 
 
 def test_spectral_count_on_a_period_two_string():
