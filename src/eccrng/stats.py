@@ -12,7 +12,9 @@ is neither a pass nor a fail.
 from __future__ import annotations
 
 import math
+import os
 import shlex
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -361,6 +363,82 @@ def _fast_length(n: int) -> int:
     return min(x << (-(-n // x) - 1).bit_length() for x in odd)
 
 
+_COLUMN_BLOCK = 1 << 16  # complex values per block of a four-step pass
+
+
+def _root_divisor(n: int) -> int:
+    """The largest divisor of n up to sqrt(n): the row count of a four-step split."""
+    return max(k for k in range(1, math.isqrt(n) + 1) if n % k == 0)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # sched_getaffinity is Linux-only
+        return os.cpu_count() or 1
+
+
+def _halves(task, count: int, split: bool) -> None:
+    """task(lo, hi) over 0 .. count; when split, the upper half runs on a
+    second thread, joined before this returns, and its exception is raised here."""
+    if not split or count < 2:
+        task(0, count)
+        return
+    errors = []
+
+    def upper():
+        try:
+            task(count // 2, count)
+        except BaseException as e:  # handed to the caller's thread
+            errors.append(e)
+
+    worker = threading.Thread(target=upper)
+    worker.start()
+    try:
+        task(0, count // 2)
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
+
+
+def _four_step(g: np.ndarray, inverse: bool, split: bool) -> None:
+    """In place, the DFT (or the inverse DFT) of x, N = R C values held in the
+    (R, C) array g as g[r, i] = x_(r + R i); afterwards g[s, j] = X_(C s + j).
+
+    Leaf FFTs of length C along the rows, the twiddles e^(-+2 pi i r j / N),
+    then FFTs of length R down the columns; each pass runs in blocks of about
+    _COLUMN_BLOCK values, and when split, each pass's upper half of the blocks
+    runs on a second thread.  Every block takes the same calls either way, so
+    the result does not depend on split.  g may be a strided view, such as
+    the transpose of a contiguous array.
+    """
+    rows, cols = g.shape
+    fft = np.fft.ifft if inverse else np.fft.fft
+    step = max(1, _COLUMN_BLOCK // cols)
+
+    def leaves(lo, hi):
+        for k in range(lo, hi):
+            x = g[k * step : (k + 1) * step]
+            fft(x, axis=1, out=x)
+
+    _halves(leaves, -(-rows // step), split)
+    width = min(cols, max(1, _COLUMN_BLOCK // rows))
+    r = np.arange(rows, dtype=np.int64)[:, None]
+    angle = (2.0 if inverse else -2.0) * math.pi / g.size
+    twiddle = np.exp(1j * angle * (r * np.arange(width)))
+
+    def columns(lo, hi):
+        for k in range(lo, hi):
+            y = g[:, k * width : (k + 1) * width]
+            y *= twiddle[:, : y.shape[1]]
+            y *= np.exp(1j * angle * (r * (k * width)))  # r j < N fits in int64
+            fft(y, axis=0, out=y)
+
+    _halves(columns, -(-cols // width), split)
+
+
 def _chirp_z_count(b: np.ndarray, limit: float) -> int:
     """Bins k < n // 2 with |X_k|^2 < limit, X the DFT of 2b - 1, by chirp z.
 
@@ -371,6 +449,14 @@ def _chirp_z_count(b: np.ndarray, limit: float) -> int:
         X_k = conj(c_k) * sum_j (x_j conj(c_j)) c_(k-j),
     one circular convolution of length L >= n + n // 2 - 1, and |conj(c_k)| = 1.
     For odd n = 2m + 1, c_(n-j) = -c_j, so only c_0 .. c_m are computed.
+
+    Its three length-L transforms are in-place four-step transforms
+    (_four_step) over L = d q, d the largest divisor of L up to sqrt(L); each
+    is split over two threads when the process may run on two CPUs.  The
+    forward transforms read the natural order as the leaves of the split
+    q d, which leaves their spectra at [k % d, k // d] of the (d, q) array:
+    the leaf order of the split d q, whose inverse returns the natural order.
+    No transform copies an array of length L.
     """
     n = b.size
     m = n // 2
@@ -387,25 +473,27 @@ def _chirp_z_count(b: np.ndarray, limit: float) -> int:
     a[m + 1 : n] = -c[m:0:-1].conj()
     del c
     a[:n] *= b * 2.0 - 1.0
-    np.fft.fft(kernel, out=kernel)
-    np.fft.fft(a, out=a)
+    d = _root_divisor(size)
+    q = size // d
+    split = size > _COLUMN_BLOCK and _cpu_count() > 1
+    _four_step(kernel.reshape(d, q).T, False, split)
+    _four_step(a.reshape(d, q).T, False, split)
     a *= kernel
     del kernel
-    np.fft.ifft(a, out=a)
+    _four_step(a.reshape(d, q), True, split)
     return _count_below(a[:m].view(np.float64).reshape(m, 2), limit)
-
-
-_COLUMN_BLOCK = 1 << 16  # complex values per block of the four-step column FFTs
 
 
 def _spectral_count(b: np.ndarray, threshold: float) -> int:
     """Bins k < n // 2 with |X_k| < threshold, X the DFT of 2b - 1.
 
     An odd prime n has no four-step split, so its bins come from a chirp z
-    transform of length about 1.5n (_chirp_z_count).  Every other n takes
-    Bailey's four steps of short FFTs, each pass in cache: with n = d q, d
-    the largest divisor of n up to sqrt(n), and F_r the rfft of the q samples
-    x_(r + d i), every bin j + q s (j < q, s < d) is
+    transform of length about 1.5n (_chirp_z_count), whose length is smooth:
+    its three complex transforms are four-step ones, each pass split over two
+    threads when the process may run on two CPUs.  Every other n takes
+    Bailey's four steps of short FFTs on one thread, each pass in cache: with
+    n = d q, d the largest divisor of n up to sqrt(n), and F_r the rfft of the
+    q samples x_(r + d i), every bin j + q s (j < q, s < d) is
         X_(j + q s) = sum_r e^(-2 pi i r s / d) (e^(-2 pi i r j / n) F_r[j]),
     one length-d FFT Y[., j] down each twiddled column j of the leaves F.
     Only the columns j <= q // 2 exist; x being real, Y[s, j] for
@@ -413,7 +501,7 @@ def _spectral_count(b: np.ndarray, threshold: float) -> int:
     """
     n = b.size
     limit = threshold * threshold
-    d = max(k for k in range(1, math.isqrt(n) + 1) if n % k == 0)
+    d = _root_divisor(n)
     if d == 1 and n > 2:  # an odd prime
         return _chirp_z_count(b, limit)
     q = n // d
@@ -458,8 +546,9 @@ def spectral_test(bits, alpha: float = DEFAULT_ALPHA, min_length: int = 1000) ->
 
     The count runs over the bins k < n // 2 of the DFT of 2b - 1, by one of
     two paths (see _spectral_count): for an odd prime n, a chirp z transform
-    of length about 1.5n; for any other n, Bailey's four steps of short FFTs.
-    At the battery's million-bit lengths each beats one rfft of length n.
+    of length about 1.5n, whose three four-step FFTs may use a second thread;
+    for any other n, Bailey's four steps of short FFTs, on one thread.  At
+    the battery's million-bit lengths each beats one rfft of length n.
     """
     b = _bits(bits).b
     n = b.size

@@ -9,8 +9,8 @@ free-run period of each maximal-length tap set.  The battery
 oracles compute each statistic over every bit in int64, one test at a time,
 and are checked against the shared passes of `eccrng.stats`; the spectral
 oracle takes one rfft over all n bits, where the kernel runs a chirp z
-transform at an odd prime length and, at every other length, Bailey's four
-steps of short rffts and FFTs.  The ascii
+transform at an odd prime length (itself three complex four-step FFTs) and,
+at every other length, Bailey's four steps of short rffts and FFTs.  The ascii
 oracles go through Python text, as the first file reader and writer did,
 and are checked against the byte-level kernels of `eccrng.bitio`.  The
 Markov oracle is the first batched generator, which cut its last batch

@@ -1,9 +1,12 @@
 """numpy is the only third-party package the runtime imports or declares, every
 public name has a user outside the tests, no module reaches into another's
-private names, and the README's module map lists the package's modules."""
+private names, the README's module map lists the package's modules, and the
+CLI's import loads no standard-library module it does not use."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -86,3 +89,19 @@ def test_every_public_name_is_used_outside_the_tests():
     users = [*(ROOT / "src" / "eccrng").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     unused = public - _loaded_names(users) - CLAIM_ENTRY_POINTS
     assert not unused, f"public names only the tests use: {sorted(unused)}"
+
+
+def test_cli_import_loads_no_executor_and_no_logging():
+    # the spectral test's second thread is a plain threading.Thread, which
+    # numpy loads anyway; concurrent.futures would add its import and logging's
+    code = "import sys, eccrng.cli; print(*sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == []

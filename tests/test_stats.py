@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from eccrng.stats import (
     _Bits,
     _chi2_sf,
     _chirp_z_count,
+    _four_step,
     _longest_run_classes,
     _normal_cdf,
     _spectral_count,
@@ -293,6 +295,75 @@ def test_spectral_count_at_long_odd_lengths(n, prime, monkeypatch):
     assert calls == ([n] if prime else [])
 
 
+@pytest.mark.parametrize(
+    "rows, cols",
+    # one row (d = 1), one column (q = 1), exactly one column block and one
+    # leaf block, and partial last blocks in both passes
+    [(1, 37), (1, 70_000), (37, 1), (70_000, 1), (256, 256), (300, 400), (97, 1000)],
+)
+def test_four_step_matches_numpy(rows, cols):
+    rng = np.random.default_rng(rows * cols)
+    x = rng.standard_normal(rows * cols) + 1j * rng.standard_normal(rows * cols)
+    for inverse, want in ((False, np.fft.fft(x)), (True, np.fft.ifft(x))):
+        spectra = []
+        for split in (False, True):
+            g = x.reshape(cols, rows).T.copy()  # g[r, i] = x_(r + rows i)
+            _four_step(g, inverse, split)
+            np.testing.assert_allclose(g.reshape(-1), want, rtol=1e-12, atol=1e-12 * abs(want).max())
+            spectra.append(g)
+        assert np.array_equal(*spectra)
+        # a transposed view holds the leaves of the split cols * rows
+        g = x.reshape(rows, cols).copy()
+        _four_step(g.T, inverse, True)
+        np.testing.assert_allclose(g.T.reshape(-1), want, rtol=1e-12, atol=1e-12 * abs(want).max())
+
+
+@pytest.mark.parametrize("n", [131_071, 2_280_011])
+def test_chirp_z_count_on_two_threads_is_bitwise_the_one_thread_count(n, monkeypatch):
+    spectra, splits = [], []
+
+    def count_below(f, limit):
+        spectra.append(f.copy())
+        return stats_count_below(f, limit)
+
+    def halves(task, count, split):
+        splits.append(split)
+        return stats_halves(task, count, split)
+
+    stats_count_below, stats_halves = stats._count_below, stats._halves
+    monkeypatch.setattr(stats, "_count_below", count_below)
+    monkeypatch.setattr(stats, "_halves", halves)
+    b = (np.random.default_rng(n).random(n) < 0.5).astype(np.uint8)
+    limit = _spectral_threshold(n) ** 2
+    counts = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(stats, "_cpu_count", lambda: cpus)
+        splits.clear()
+        counts.append(_chirp_z_count(b, limit))
+        assert splits == [cpus > 1] * 6  # two passes of three transforms
+    assert counts[0] == counts[1]
+    assert np.array_equal(spectra[0], spectra[1])
+
+
+@pytest.mark.parametrize("raising", ["worker", "caller"])
+def test_a_failing_half_reaches_the_caller_and_leaves_no_thread(raising, monkeypatch):
+    fft = np.fft.fft
+
+    def failing_fft(*args, **kwargs):
+        if (threading.current_thread() is threading.main_thread()) == (raising == "caller"):
+            raise RuntimeError(f"{raising} failed")
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", failing_fft)
+    monkeypatch.setattr(stats, "_cpu_count", lambda: 2)
+    n = 131_071
+    b = (np.random.default_rng(n).random(n) < 0.5).astype(np.uint8)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{raising} failed"):
+        _chirp_z_count(b, _spectral_threshold(n) ** 2)
+    assert threading.active_count() == threads
+
+
 def test_spectral_count_at_random_lengths():
     rng = np.random.default_rng(2026)
     for n in rng.integers(1000, 300_001, size=100):
@@ -309,12 +380,14 @@ def test_spectral_count_at_long_even_lengths(n):
     assert _spectral_count(b, threshold) == rfft_spectral_count(b, threshold)
 
 
-def _spectral_count_memory_kib(n):
+def _spectral_count_memory_kib(n, one_cpu=False):
     """VmHWM growth of a fresh interpreter over one _spectral_count call at
     length n: ru_maxrss would start from this process's high-water mark, and
-    tracemalloc does not see pocketfft's buffers."""
+    tracemalloc does not see pocketfft's buffers.  With one_cpu the child pins
+    itself to one of its CPUs first, so the count runs on one thread."""
     code = f"""
 import math
+import os
 from eccrng.source import bernoulli_stream
 from eccrng.stats import _spectral_count
 
@@ -322,6 +395,8 @@ def hwm():
     with open("/proc/self/status") as f:
         return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
 
+if {one_cpu}:
+    os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
 n = {n}
 b = bernoulli_stream(0.5, 1, n)
 before = hwm()
@@ -342,8 +417,16 @@ print(hwm() - before)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
-def test_spectral_count_at_the_prime_benchmark_length_stays_under_260_mib():
-    assert _spectral_count_memory_kib(2_280_011) <= 260 * 1024
+def test_spectral_count_at_the_prime_benchmark_length_stays_under_140_mib():
+    # the chirp z's two arrays of L = 3,421,440 complex values are 104.4 MiB;
+    # a third array of that length, such as a whole-length FFT's copy, breaks the bound
+    assert _spectral_count_memory_kib(2_280_011) <= 140 * 1024
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="pins the child to one CPU")
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_spectral_count_at_the_prime_benchmark_length_on_one_cpu_stays_under_140_mib():
+    assert _spectral_count_memory_kib(2_280_011, one_cpu=True) <= 140 * 1024
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
