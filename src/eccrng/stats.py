@@ -346,10 +346,12 @@ def approximate_entropy_test(
     return _result("approximate_entropy", [p], alpha, params)
 
 
-def _count_below(f: np.ndarray, limit: float) -> int:
-    """Pairs (re, im) on the last axis of float array f with re^2 + im^2 < limit; overwrites f."""
+def _count_below(x: np.ndarray, limit: float) -> int:
+    """Complex values in x with re^2 + im^2 < limit; overwrites x, whose last
+    axis must be contiguous."""
+    f = x.view(np.float64)
     f *= f
-    sq = np.add(f[..., 0], f[..., 1], out=f[..., 0])
+    sq = np.add(f[..., ::2], f[..., 1::2], out=f[..., ::2])
     return int(np.count_nonzero(sq < limit))
 
 
@@ -403,16 +405,47 @@ def _halves(task, count: int, split: bool) -> None:
         raise errors[0]
 
 
+def _columns(g: np.ndarray, n: int, inverse: bool, split: bool, sink) -> None:
+    """The column pass of a four-step transform of length n over the (R, C)
+    array g: Y[s, j] = sum_r e^(-+2 pi i r s / R) (e^(-+2 pi i r j / n) g[r, j]),
+    the 1 / R of the inverse included; n may exceed R C.
+
+    Columns j0 .. j0 + w of g are twiddled into a contiguous buffer of about
+    _COLUMN_BLOCK values that belongs to the running thread, their length-R
+    FFTs run there, and sink(j0, y) gets the (R, w) block Y[:, j0 : j0 + w]
+    before the buffer takes the next one; g is only read.  When split, the
+    upper half of the blocks runs on a second thread, and so does its sink.
+    Every block takes the same calls either way, so y does not depend on split.
+    """
+    rows, cols = g.shape
+    fft = np.fft.ifft if inverse else np.fft.fft
+    width = min(cols, max(1, _COLUMN_BLOCK // rows))
+    r = np.arange(rows, dtype=np.int64)[:, None]
+    angle = (2.0 if inverse else -2.0) * math.pi / n
+    twiddle = np.exp(1j * angle * (r * np.arange(width)))
+
+    def columns(lo, hi):
+        buf = np.empty((rows, width), dtype=np.complex128)
+        for j0 in range(lo * width, min(hi * width, cols), width):
+            y = buf[:, : min(width, cols - j0)]
+            np.multiply(g[:, j0 : j0 + y.shape[1]], twiddle[:, : y.shape[1]], out=y)
+            y *= np.exp(1j * angle * (r * j0))  # r j0 < n fits in int64
+            fft(y, axis=0, out=y)
+            sink(j0, y)
+
+    _halves(columns, -(-cols // width), split)
+
+
 def _four_step(g: np.ndarray, inverse: bool, split: bool) -> None:
     """In place, the DFT (or the inverse DFT) of x, N = R C values held in the
     (R, C) array g as g[r, i] = x_(r + R i); afterwards g[s, j] = X_(C s + j).
 
-    Leaf FFTs of length C along the rows, the twiddles e^(-+2 pi i r j / N),
-    then FFTs of length R down the columns; each pass runs in blocks of about
-    _COLUMN_BLOCK values, and when split, each pass's upper half of the blocks
-    runs on a second thread.  Every block takes the same calls either way, so
-    the result does not depend on split.  g may be a strided view, such as
-    the transpose of a contiguous array.
+    Leaf FFTs of length C along the rows, in blocks of about _COLUMN_BLOCK
+    values, then the column pass (_columns), whose sink writes each block
+    back into g.  When split, each pass's upper half of the blocks runs on a
+    second thread; every block takes the same calls either way, so the result
+    does not depend on split.  g may be a strided view, such as the transpose
+    of a contiguous array.
     """
     rows, cols = g.shape
     fft = np.fft.ifft if inverse else np.fft.fft
@@ -423,20 +456,11 @@ def _four_step(g: np.ndarray, inverse: bool, split: bool) -> None:
             x = g[k * step : (k + 1) * step]
             fft(x, axis=1, out=x)
 
+    def store(j0, y):
+        g[:, j0 : j0 + y.shape[1]] = y
+
     _halves(leaves, -(-rows // step), split)
-    width = min(cols, max(1, _COLUMN_BLOCK // rows))
-    r = np.arange(rows, dtype=np.int64)[:, None]
-    angle = (2.0 if inverse else -2.0) * math.pi / g.size
-    twiddle = np.exp(1j * angle * (r * np.arange(width)))
-
-    def columns(lo, hi):
-        for k in range(lo, hi):
-            y = g[:, k * width : (k + 1) * width]
-            y *= twiddle[:, : y.shape[1]]
-            y *= np.exp(1j * angle * (r * (k * width)))  # r j < N fits in int64
-            fft(y, axis=0, out=y)
-
-    _halves(columns, -(-cols // width), split)
+    _columns(g, g.size, inverse, split, store)
 
 
 def _chirp_z_count(b: np.ndarray, limit: float) -> int:
@@ -451,12 +475,14 @@ def _chirp_z_count(b: np.ndarray, limit: float) -> int:
     For odd n = 2m + 1, c_(n-j) = -c_j, so only c_0 .. c_m are computed.
 
     Its three length-L transforms are in-place four-step transforms
-    (_four_step) over L = d q, d the largest divisor of L up to sqrt(L); each
-    is split over two threads when the process may run on two CPUs.  The
-    forward transforms read the natural order as the leaves of the split
-    q d, which leaves their spectra at [k % d, k // d] of the (d, q) array:
-    the leaf order of the split d q, whose inverse returns the natural order.
-    No transform copies an array of length L.
+    (_four_step) over L = d q, d the largest divisor of L up to sqrt(L): leaf
+    FFTs, then the column pass (_columns), whose sink writes each block back.
+    Each pass is split over two threads when the process may run on two CPUs;
+    a pass of one block stays on the caller's thread.  The forward transforms
+    read the natural order as the leaves of the split q d, which leaves their
+    spectra at [k % d, k // d] of the (d, q) array: the leaf order of the
+    split d q, whose inverse returns the natural order.  No transform copies
+    an array of length L.
     """
     n = b.size
     m = n // 2
@@ -475,13 +501,13 @@ def _chirp_z_count(b: np.ndarray, limit: float) -> int:
     a[:n] *= b * 2.0 - 1.0
     d = _root_divisor(size)
     q = size // d
-    split = size > _COLUMN_BLOCK and _cpu_count() > 1
+    split = _cpu_count() > 1
     _four_step(kernel.reshape(d, q).T, False, split)
     _four_step(a.reshape(d, q).T, False, split)
     a *= kernel
     del kernel
     _four_step(a.reshape(d, q), True, split)
-    return _count_below(a[:m].view(np.float64).reshape(m, 2), limit)
+    return _count_below(a[:m], limit)
 
 
 def _spectral_count(b: np.ndarray, threshold: float) -> int:
@@ -495,7 +521,9 @@ def _spectral_count(b: np.ndarray, threshold: float) -> int:
     n = d q, d the largest divisor of n up to sqrt(n), and F_r the rfft of the
     q samples x_(r + d i), every bin j + q s (j < q, s < d) is
         X_(j + q s) = sum_r e^(-2 pi i r s / d) (e^(-2 pi i r j / n) F_r[j]),
-    one length-d FFT Y[., j] down each twiddled column j of the leaves F.
+    one length-d FFT Y[., j] down each twiddled column j of the leaves F:
+    the same column pass (_columns) as the chirp z's transforms, whose sink
+    here counts each block while it is in cache and stores nothing.
     Only the columns j <= q // 2 exist; x being real, Y[s, j] for
     1 <= j <= (q - 1) // 2 is also the mirror bin n - j - q s = q (d - s) - j.
     """
@@ -515,11 +543,6 @@ def _spectral_count(b: np.ndarray, threshold: float) -> int:
         x -= 1.0
         np.fft.rfft(x, axis=1, out=leaves[r0 : r0 + len(x)])
     del buf, x
-    c = min(h, max(1, _COLUMN_BLOCK // d))
-    r = np.arange(d, dtype=np.int64)
-    angle = -2.0 * math.pi / n
-    twiddle = np.exp(1j * angle * (r[:, None] * np.arange(c)))
-    y = np.empty((d, c), dtype=np.complex128)
     last = n // 2 - 1
     # each bin up to last once, as (rows, j from, j to) of Y: bins j + q s in
     # the rows below s1 and row s1 up to j = last - q s1; mirror bins
@@ -527,18 +550,20 @@ def _spectral_count(b: np.ndarray, threshold: float) -> int:
     s1, u = max(last, 0) // q, (last + 1) // q
     blocks = ((slice(0, s1), 0, h), (s1, 0, last - q * s1 + 1),
               (slice(d - u, d), 1, (q + 1) // 2), (d - u - 1, q * (u + 1) - last, (q + 1) // 2))
-    count = 0
-    for j0 in range(0, h, c):
-        w = min(c, h - j0)
-        g = np.multiply(leaves[:, j0 : j0 + w], twiddle[:, :w], out=y[:, :w])
-        g *= np.exp(1j * angle * (r * j0 % n))[:, None]  # r j0 < n^1.5 fits in int64
-        np.fft.fft(g, axis=0, out=g)
-        reim = g.view(np.float64).reshape(d, w, 2)
+    counts = []
+
+    def count(j0, y):
         for s, lo, hi in blocks:
-            lo, hi = max(lo - j0, 0), min(hi - j0, w)
+            lo, hi = max(lo - j0, 0), min(hi - j0, y.shape[1])
             if lo < hi:  # the four blocks are disjoint, so each entry is squared once
-                count += _count_below(reim[s, lo:hi], limit)
-    return count
+                counts.append(_count_below(y[s, lo:hi], limit))
+
+    # one thread until the benchmark measures the program's own peak memory:
+    # splitting only the columns gave no gain when tried, and a second
+    # thread's buffers would show in peak_rss_mib, which today is the bench
+    # process's own peak
+    _columns(leaves, n, False, False, count)
+    return sum(counts)
 
 
 def spectral_test(bits, alpha: float = DEFAULT_ALPHA, min_length: int = 1000) -> TestResult:
@@ -547,8 +572,9 @@ def spectral_test(bits, alpha: float = DEFAULT_ALPHA, min_length: int = 1000) ->
     The count runs over the bins k < n // 2 of the DFT of 2b - 1, by one of
     two paths (see _spectral_count): for an odd prime n, a chirp z transform
     of length about 1.5n, whose three four-step FFTs may use a second thread;
-    for any other n, Bailey's four steps of short FFTs, on one thread.  At
-    the battery's million-bit lengths each beats one rfft of length n.
+    for any other n, Bailey's four steps of short FFTs, on one thread.  Both
+    run the same blocked column pass of twiddles and short FFTs.  At the
+    battery's million-bit lengths each beats one rfft of length n.
     """
     b = _bits(bits).b
     n = b.size

@@ -30,6 +30,7 @@ from eccrng.stats import (
     _Bits,
     _chi2_sf,
     _chirp_z_count,
+    _columns,
     _four_step,
     _longest_run_classes,
     _normal_cdf,
@@ -318,6 +319,37 @@ def test_four_step_matches_numpy(rows, cols):
         np.testing.assert_allclose(g.T.reshape(-1), want, rtol=1e-12, atol=1e-12 * abs(want).max())
 
 
+@pytest.mark.parametrize(
+    "rows, cols, n",
+    # the (d, q // 2 + 1) leaves of the composite n = 1000 * 1000, width 1
+    # (rows > _COLUMN_BLOCK), and a partial last block (675 + 325 columns)
+    [(1000, 501, 1000 * 1000), (70_000, 3, 70_000 * 3), (97, 1000, 97 * 1000)],
+)
+def test_columns_matches_numpy(rows, cols, n):
+    rng = np.random.default_rng(rows * cols)
+    g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    g_in = g.copy()
+    rj = np.arange(rows)[:, None] * np.arange(cols)
+    for inverse, want in (
+        (False, np.fft.fft(g * np.exp(-2j * np.pi * rj / n), axis=0)),
+        (True, np.fft.ifft(g * np.exp(2j * np.pi * rj / n), axis=0)),
+    ):
+        blocks = []
+        for split in (False, True):
+            seen = []
+            _columns(g, n, inverse, split, lambda j0, y: seen.append((j0, y.copy())))
+            seen.sort(key=lambda block: block[0])
+            # every column exactly once: the blocks tile 0 .. cols
+            ends = [j0 + y.shape[1] for j0, y in seen]
+            assert [j0 for j0, _ in seen] == [0] + ends[:-1] and ends[-1] == cols
+            got = np.concatenate([y for _, y in seen], axis=1)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * abs(want).max())
+            blocks.append(seen)
+        assert len(blocks[0]) == len(blocks[1])
+        assert all(j0 == k0 and np.array_equal(y, z) for (j0, y), (k0, z) in zip(*blocks))
+    assert np.array_equal(g, g_in)  # g is only read
+
+
 @pytest.mark.parametrize("n", [131_071, 2_280_011])
 def test_chirp_z_count_on_two_threads_is_bitwise_the_one_thread_count(n, monkeypatch):
     spectra, splits = [], []
@@ -343,6 +375,28 @@ def test_chirp_z_count_on_two_threads_is_bitwise_the_one_thread_count(n, monkeyp
         assert splits == [cpus > 1] * 6  # two passes of three transforms
     assert counts[0] == counts[1]
     assert np.array_equal(spectra[0], spectra[1])
+
+
+@pytest.mark.parametrize(
+    "n, threads",
+    # a prime whose L = 1,512 is one leaf block and one column block, a
+    # composite length, which stays on one thread, and a prime with L > 2^16
+    [(1009, False), (262_144, False), (65_537, True)],
+)
+def test_a_second_thread_starts_only_for_a_chirp_z_of_more_than_one_block(n, threads, monkeypatch):
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(stats, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(stats.threading, "Thread", Thread)
+    b = (np.random.default_rng(n).random(n) < 0.5).astype(np.uint8)
+    threshold = _spectral_threshold(n)
+    assert _spectral_count(b, threshold) == rfft_spectral_count(b, threshold)
+    assert bool(started) == threads
 
 
 @pytest.mark.parametrize("raising", ["worker", "caller"])
