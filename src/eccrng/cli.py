@@ -199,60 +199,52 @@ def _write_text(text: str, path, argv, command, params, input_info=None) -> None
 
 
 def _resolve_source(kind: str, value: str, args, seed: int) -> tuple[SourceConfig, dict]:
-    """Build a SourceConfig from a source (kind, value); returns (config, params)."""
+    """Build a SourceConfig from a source (kind, value); returns (config, params).
+
+    Only the text is parsed here: SourceConfig judges the values.
+    """
     if kind == "bernoulli":
-        p = _parse_prob(value, kind)
-        return (
-            SourceConfig("bernoulli", seed, args.bits, p=p),
-            {"source": f"bernoulli:{p:g}", "seed": seed},
-        )
-    if kind == "markov":
+        p = _parse_float(value, f"{kind} source: bad probability")
+        fields, params = {"p": p}, {"source": f"bernoulli:{p:g}"}
+    elif kind == "markov":
         parts = value.split(",")
         if len(parts) != 2:
             raise UsageError("markov source expects P,RHO")
-        p = _parse_prob(parts[0], kind)
-        try:
-            rho = float(parts[1])
-        except ValueError:
-            raise UsageError(f"bad autocorrelation {parts[1]!r}") from None
-        try:
-            cfg = SourceConfig("markov", seed, args.bits, p=p, rho=rho)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        return cfg, {"source": f"markov:{p:g},{rho:g}", "seed": seed}
-    # a preset's calibrated current, or an explicit one, through the switching model
-    if kind == "preset":
-        if value not in PRESETS:
-            raise UsageError(f"unknown preset {value!r}; available: {', '.join(sorted(PRESETS))}")
-        p, t_write = PRESETS[value]
-        params = {"source": f"preset:{value}", "p": p}
+        p = _parse_float(parts[0], f"{kind} source: bad probability")
+        rho = _parse_float(parts[1], "bad autocorrelation")
+        fields, params = {"p": p, "rho": rho}, {"source": f"markov:{p:g},{rho:g}"}
     else:
-        try:
-            current = float(value)
-        except ValueError:
-            raise UsageError(f"bad current {value!r}") from None
-        if not math.isfinite(current):
-            raise UsageError(f"--current must be finite, got {value}")
-        t_write, params = args.t_write, {"source": f"mtj:{current:g}uA"}
-    model = _load_model(args.model_config, t_write)
-    if kind == "preset":
-        try:
-            current = calibrate_current(model, target=p, tol=PRESET_CALIBRATION_TOL)
-            params["current_ua"] = current
-        except CalibrationError as exc:
-            raise UsageError(f"preset {value}: {exc}") from None
-    cfg = SourceConfig("mtj", seed, args.bits, model=model, current_ua=current)
-    return cfg, {**params, "t_write_ns": t_write, "seed": seed}
-
-
-def _parse_prob(text: str, kind: str) -> float:
+        # a preset's calibrated current, or an explicit one, through the switching model
+        if kind == "preset":
+            if value not in PRESETS:
+                raise UsageError(
+                    f"unknown preset {value!r}; available: {', '.join(sorted(PRESETS))}")
+            p, t_write = PRESETS[value]
+            params = {"source": f"preset:{value}", "p": p}
+        else:
+            current = _parse_float(value, "bad current")
+            t_write, params = args.t_write, {"source": f"mtj:{current:g}uA"}
+        model = _load_model(args.model_config, t_write)
+        if kind == "preset":
+            try:
+                current = calibrate_current(model, target=p, tol=PRESET_CALIBRATION_TOL)
+                params["current_ua"] = current
+            except CalibrationError as exc:
+                raise UsageError(f"preset {value}: {exc}") from None
+        kind, fields = "mtj", {"model": model, "current_ua": current}
+        params["t_write_ns"] = t_write
     try:
-        p = float(text)
+        cfg = SourceConfig(kind, seed, args.bits, **fields)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return cfg, {**params, "seed": seed}
+
+
+def _parse_float(text: str, what: str) -> float:
+    try:
+        return float(text)
     except ValueError:
-        raise UsageError(f"{kind} source: bad probability {text!r}") from None
-    if not 0.0 <= p <= 1.0:
-        raise UsageError(f"{kind} source: probability must lie in [0, 1], got {p}")
-    return p
+        raise UsageError(f"{what} {text!r}") from None
 
 
 def _load_model(config_path, t_write):
@@ -271,20 +263,10 @@ def _load_model(config_path, t_write):
 def cmd_generate(args, argv) -> int:
     if args.bits < 0:
         raise UsageError("--bits must be a non-negative integer")
-    chosen = [
-        (kind, value)
-        for kind, value in (
-            ("preset", args.preset),
-            ("bernoulli", args.bernoulli),
-            ("markov", args.markov),
-            ("current", args.current),
-        )
-        if value is not None
-    ]
-    if len(chosen) != 1:
+    if len(args.sources or ()) != 1:
         raise UsageError("choose exactly one source: --preset, --bernoulli, --markov or --current")
     seed, argv = _resolve_seed(args, argv)
-    cfg, params = _resolve_source(*chosen[0], args, seed)
+    cfg, params = _resolve_source(*args.sources[0], args, seed)
     bits = generate_stream(cfg)
     params["bits"] = int(bits.size)
     _write_artifact(args.output, bitio.encode_bits(bits, args.encoding), argv, "generate",
@@ -315,10 +297,6 @@ def cmd_postprocess(args, argv) -> int:
 
 
 def cmd_test(args, argv) -> int:
-    if not 0.0 < args.alpha < 1.0:
-        raise UsageError(f"--alpha must lie in (0, 1), got {args.alpha}")
-    if args.fail_threshold < 0:
-        raise UsageError("--fail-threshold must be >= 0")
     bits, _, in_sha = _read_input(args)
     if bits.size < stats.BATTERY_MIN_BITS and not args.allow_short:
         raise UsageError(
@@ -471,13 +449,16 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="simulate an entropy-source capture")
-    g.add_argument("--preset", choices=sorted(PRESETS), default=None,
+    # each source flag appends (kind, value) to one list; cmd_generate wants exactly one
+    g.add_argument("--preset", dest="sources", action="append", type=lambda v: ("preset", v),
+                   metavar="{" + ",".join(sorted(PRESETS)) + "}",
                    help="capture profile (operating probability + pulse width)")
-    g.add_argument("--bernoulli", metavar="P", default=None, help="i.i.d. source at P(1)=P")
-    g.add_argument("--markov", metavar="P,RHO", default=None,
-                   help="correlated source with lag-1 autocorrelation RHO")
-    g.add_argument("--current", metavar="UA", default=None,
-                   help="drive the switching model at this current (microamps)")
+    g.add_argument("--bernoulli", dest="sources", action="append",
+                   type=lambda v: ("bernoulli", v), metavar="P", help="i.i.d. source at P(1)=P")
+    g.add_argument("--markov", dest="sources", action="append", type=lambda v: ("markov", v),
+                   metavar="P,RHO", help="correlated source with lag-1 autocorrelation RHO")
+    g.add_argument("--current", dest="sources", action="append", type=lambda v: ("current", v),
+                   metavar="UA", help="drive the switching model at this current (microamps)")
     g.add_argument("--t-write", type=float, default=30.0, help="write pulse ns for --current")
     g.add_argument("--model-config", default=None, help="switching-model file (default: shipped)")
     g.add_argument("--bits", type=int, required=True, help="number of bits to generate")

@@ -494,11 +494,13 @@ def _chirp_z_count(b: np.ndarray, limit: float) -> int:
     kernel[:m] = c[:m]
     kernel[size - 2 * m : size - m] = -c[1:]
     kernel[size - m :] = c[m:0:-1]
-    a = np.zeros(size, dtype=np.complex128)
-    a[: m + 1] = c.conj()
-    a[m + 1 : n] = -c[m:0:-1].conj()
     del c
-    a[:n] *= b * 2.0 - 1.0
+    # a_j = conj(c_j) (2 b_j - 1), written in place: kernel[size - j] is c_j
+    # for 0 < j < n, and conjugation and negation are exact
+    a = np.zeros(size, dtype=np.complex128)
+    a[0] = b[0] * 2.0 - 1.0
+    np.conjugate(kernel[: size - n : -1], out=a[1:n])
+    np.negative(a[1:n], out=a[1:n], where=b[1:] == 0)
     d = _root_divisor(size)
     q = size // d
     split = _cpu_count() > 1

@@ -323,6 +323,16 @@ def test_bench_rejects_bad_source():
         (["postprocess", "{ascii}", "--rejection", "--bit-order", "lsb", "--output", "{out}"], 1),
         (["postprocess", "{ascii}", "--rejection", "--input-encoding", "ascii",
           "--bit-order", "msb", "--output", "{out}"], 1),
+        # values the CLI only parses, and SourceConfig or run_battery refuses
+        (["generate", "--bernoulli", "nan", "--bits", "10", "--output", "{out}"], 1),
+        (["generate", "--markov", "1.5,0.1", "--bits", "10", "--output", "{out}"], 1),
+        (["generate", "--markov", "0.5,x", "--bits", "10", "--output", "{out}"], 1),
+        (["generate", "--preset", "nope", "--bits", "10", "--output", "{out}"], 1),
+        # a source flag may be given once, even the same one
+        (["generate", "--preset", "data-a", "--preset", "data-b", "--bits", "10",
+          "--output", "{out}"], 1),
+        (["test", "{ascii}", "--allow-short", "--fail-threshold", "-1"], 1),
+        (["test", "{ascii}", "--allow-short", "--alpha", "0"], 1),
     ],
 )
 def test_bad_argv_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, argv, code):

@@ -2,11 +2,15 @@
 job's traced and untraced passes agree, and they and the CLI chain give the
 bits and the file bytes of the benchmark's independent reference pipeline.
 At full length, each workload's seed-0 capture has the digest the benchmark
-checks, and the workloads' copies of CLI defaults equal the CLI's."""
+checks, its seed-1 job and set-up probe pass the checks the benchmark makes
+at seed 1 before it times anything, and the workloads' copies of CLI
+defaults equal the CLI's."""
 
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -80,6 +84,33 @@ def test_full_length_capture_matches_the_reference(name):
     capture = generate_stream(jobs.source_config(w, 0, w.bits))
     sha = hashlib.sha256(oracle.encode(capture, w.encoding)).hexdigest()
     assert sha == REFERENCES[name]["0"]["capture_sha"]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_seed_1_job_and_probe_pass_the_benchmark_checks(tmp_path, name):
+    # run.py --seed 1 exits 1 if its warm-up job or its set-up probe fails these
+    w = WORKLOADS[name]
+    job = jobs.run_job(w, jobs.source_config(w, 1, w.bits), jobs.pipeline_spec(w),
+                       tmp_path / "job.out")
+    expected = REFERENCES[name]["1"]
+    got = {
+        "capture_sha": hashlib.sha256(oracle.encode(job.capture, w.encoding)).hexdigest(),
+        "output_sha": job.output_sha,
+        "output_bits": int(job.output.size),
+        "report_sha": job.report_sha,
+        "verdict": job.verdict,
+        "failure_count": job.failure_count,
+    }
+    assert got == {k: expected[k] for k in got}
+    assert job.readback_ok
+
+    env = {k: v for k, v in os.environ.items() if k != "ECCRNG_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PERFBENCH.parent / "src"),
+                                                      env.get("PYTHONPATH")]))
+    probe = subprocess.run([sys.executable, str(PERFBENCH / "probe.py"), name, "1"],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.split()[-1:] == [str(int(job.capture[0]))]
 
 
 def test_workload_defaults_are_the_cli_defaults():

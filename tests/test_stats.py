@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -418,6 +419,55 @@ def test_a_failing_half_reaches_the_caller_and_leaves_no_thread(raising, monkeyp
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("n", [1009, 131_071])
+def test_chirp_z_input_is_conj_c_times_the_signs(n, monkeypatch):
+    # bitwise a_j = conj(c_j) (2 b_j - 1), with c_j = e^(i pi j^2 / n) for j <= n // 2
+    # and c_j = -c_(n-j) above, as the transform's first m + 1 values are computed
+    inputs = []
+
+    def four_step(g, inverse, split):
+        inputs.append(g.T.copy().reshape(-1))  # the (d, q) view of the flat array
+        return stats_four_step(g, inverse, split)
+
+    stats_four_step = stats._four_step
+    monkeypatch.setattr(stats, "_four_step", four_step)
+    m = n // 2
+    half = np.exp(1j * math.pi / n * (np.arange(m + 1, dtype=np.int64) ** 2 % (2 * n)))
+    c = np.concatenate([half, -half[m:0:-1]])
+    b = (np.random.default_rng(n).random(n) < 0.5).astype(np.uint8)
+    for first in (0, 1):
+        b[0] = first
+        inputs.clear()
+        _chirp_z_count(b, _spectral_threshold(n) ** 2)
+        a = inputs[1]
+        assert not a[n:].any()
+        assert a[:n].tobytes() == (c.conj() * (b * 2.0 - 1.0)).tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_chirp_z_count_holds_its_two_arrays_and_the_column_blocks(cpus, monkeypatch):
+    # tracemalloc sees numpy's arrays, not pocketfft's own buffers.  The bound is
+    # the two arrays of L complex values (kernel and a), plus four blocks of
+    # _COLUMN_BLOCK complex values: the column pass's twiddle table, the
+    # temporaries that build it, and one block buffer on each of two threads.
+    # At n = 2^19 - 1, L = 786,432, that is 24 + 4 MiB; building a through
+    # copies of c (n / 2 complex values each) while both arrays were alive
+    # peaked at 32 MiB.
+    n = 524_287
+    monkeypatch.setattr(stats, "_cpu_count", lambda: cpus)
+    b = (np.random.default_rng(n).random(n) < 0.5).astype(np.uint8)
+    threshold = _spectral_threshold(n)
+    size = stats._fast_length(n + n // 2 - 1)
+    tracemalloc.start()
+    try:
+        count = _chirp_z_count(b, threshold**2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * (2 * size + 4 * stats._COLUMN_BLOCK)
+    assert count == rfft_spectral_count(b, threshold)
+
+
 def test_spectral_count_at_random_lengths():
     rng = np.random.default_rng(2026)
     for n in rng.integers(1000, 300_001, size=100):
@@ -472,8 +522,10 @@ print(hwm() - before)
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
 def test_spectral_count_at_the_prime_benchmark_length_stays_under_140_mib():
-    # the chirp z's two arrays of L = 3,421,440 complex values are 104.4 MiB;
-    # a third array of that length, such as a whole-length FFT's copy, breaks the bound
+    # the chirp z's two arrays of L = 3,421,440 complex values are 104.4 MiB, and
+    # its input is written into one of them in place (growth reads about 92 MiB,
+    # part of the arrays reusing pages the capture's draws freed); a third array
+    # of that length, such as a whole-length FFT's copy, breaks the bound
     assert _spectral_count_memory_kib(2_280_011) <= 140 * 1024
 
 
