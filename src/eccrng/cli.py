@@ -198,11 +198,20 @@ def _write_text(text: str, path, argv, command, params, input_info=None) -> None
         _write_artifact(path, text.encode("utf-8"), argv, command, params, input_info=input_info)
 
 
-def _resolve_source(kind: str, value: str, args, seed: int) -> tuple[SourceConfig, dict]:
-    """Build a SourceConfig from a source (kind, value); returns (config, params).
+def _resolve_source(args, seed: int) -> tuple[SourceConfig, dict]:
+    """Build the SourceConfig that the source flags name; returns (config, params).
 
-    Only the text is parsed here: SourceConfig judges the values.
+    Every source rule is kept here: exactly one source flag, --t-write only
+    with --current, and --model-config only with a source that reads the
+    switching model. Only the text is parsed: SourceConfig judges the values.
     """
+    if len(args.sources or ()) != 1:
+        raise UsageError("choose exactly one source: --preset, --bernoulli, --markov or --current")
+    (kind, value), t_write = args.sources[0], getattr(args, "t_write", None)  # bench has none
+    if t_write is not None and kind != "current":
+        raise UsageError(f"--t-write applies to --current only, not to --{kind}")
+    if args.model_config is not None and kind not in ("preset", "current"):
+        raise UsageError(f"--model-config applies to --preset and --current only, not to --{kind}")
     if kind == "bernoulli":
         p = _parse_float(value, f"{kind} source: bad probability")
         fields, params = {"p": p}, {"source": f"bernoulli:{p:g}"}
@@ -223,7 +232,8 @@ def _resolve_source(kind: str, value: str, args, seed: int) -> tuple[SourceConfi
             params = {"source": f"preset:{value}", "p": p}
         else:
             current = _parse_float(value, "bad current")
-            t_write, params = args.t_write, {"source": f"mtj:{current:g}uA"}
+            t_write = 30.0 if t_write is None else t_write
+            params = {"source": f"mtj:{current:g}uA"}
         model = _load_model(args.model_config, t_write)
         if kind == "preset":
             try:
@@ -263,10 +273,8 @@ def _load_model(config_path, t_write):
 def cmd_generate(args, argv) -> int:
     if args.bits < 0:
         raise UsageError("--bits must be a non-negative integer")
-    if len(args.sources or ()) != 1:
-        raise UsageError("choose exactly one source: --preset, --bernoulli, --markov or --current")
     seed, argv = _resolve_seed(args, argv)
-    cfg, params = _resolve_source(*args.sources[0], args, seed)
+    cfg, params = _resolve_source(args, seed)
     bits = generate_stream(cfg)
     params["bits"] = int(bits.size)
     _write_artifact(args.output, bitio.encode_bits(bits, args.encoding), argv, "generate",
@@ -371,21 +379,13 @@ def cmd_speed_estimate(args, argv) -> int:
 def cmd_bench(args, argv) -> int:
     if args.bits < 1:
         raise UsageError("--bits must be >= 1")
-    if args.source in PRESETS:
-        kind, value = "preset", args.source
-    else:
-        kind, _, value = args.source.partition(":")
-        if kind not in ("bernoulli", "markov") or not value:
-            raise UsageError(
-                f"bad --source {args.source!r}; use a preset name, bernoulli:P or markov:P,RHO"
-            )
+    # documented defaults: a fair i.i.d. source, and a whitening register into
+    # the strongest mid-length compressor
+    args.sources = args.sources or [("bernoulli", "0.5")]
+    args.stages = args.stages or [("lfsr", "3,1,0"), ("ecc", "31,16,3")]
     seed, argv = _resolve_seed(args, argv)
-    cfg, params = _resolve_source(kind, value, args, seed)
+    cfg, params = _resolve_source(args, seed)
     source_label = params["source"]
-    if not args.stages:
-        # documented default composition: whitening register into the strongest
-        # mid-length compressor
-        args.stages = [("lfsr", "3,1,0"), ("ecc", "31,16,3")]
     pipeline = _build_stages(args)
 
     lines = ["bench_version 1", f"source {source_label} seed={seed} bits={args.bits}"]
@@ -443,23 +443,27 @@ def _add_stage_flags(p: _Parser) -> None:
                    default=FEEDBACK_INJECTION)
 
 
+def _add_source_flags(p: _Parser) -> None:
+    # each source flag appends (kind, value) to one list; _resolve_source wants exactly one
+    p.add_argument("--preset", dest="sources", action="append", type=lambda v: ("preset", v),
+                   metavar="{" + ",".join(sorted(PRESETS)) + "}",
+                   help="capture profile (operating probability + pulse width)")
+    p.add_argument("--bernoulli", dest="sources", action="append",
+                   type=lambda v: ("bernoulli", v), metavar="P", help="i.i.d. source at P(1)=P")
+    p.add_argument("--markov", dest="sources", action="append", type=lambda v: ("markov", v),
+                   metavar="P,RHO", help="correlated source with lag-1 autocorrelation RHO")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="eccrng", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"eccrng {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="simulate an entropy-source capture")
-    # each source flag appends (kind, value) to one list; cmd_generate wants exactly one
-    g.add_argument("--preset", dest="sources", action="append", type=lambda v: ("preset", v),
-                   metavar="{" + ",".join(sorted(PRESETS)) + "}",
-                   help="capture profile (operating probability + pulse width)")
-    g.add_argument("--bernoulli", dest="sources", action="append",
-                   type=lambda v: ("bernoulli", v), metavar="P", help="i.i.d. source at P(1)=P")
-    g.add_argument("--markov", dest="sources", action="append", type=lambda v: ("markov", v),
-                   metavar="P,RHO", help="correlated source with lag-1 autocorrelation RHO")
+    _add_source_flags(g)
     g.add_argument("--current", dest="sources", action="append", type=lambda v: ("current", v),
                    metavar="UA", help="drive the switching model at this current (microamps)")
-    g.add_argument("--t-write", type=float, default=30.0, help="write pulse ns for --current")
+    g.add_argument("--t-write", type=float, default=None, help="write pulse ns for --current")
     g.add_argument("--model-config", default=None, help="switching-model file (default: shipped)")
     g.add_argument("--bits", type=int, required=True, help="number of bits to generate")
     g.add_argument("--seed", type=int, default=None,
@@ -507,8 +511,7 @@ def build_parser() -> _Parser:
 
     b = sub.add_parser("bench", help="measure pipeline throughput")
     _add_stage_flags(b)
-    b.add_argument("--source", default="bernoulli:0.5",
-                   help="preset name, bernoulli:P or markov:P,RHO")
+    _add_source_flags(b)
     b.add_argument("--model-config", default=None)
     b.add_argument("--bits", type=int, default=1_000_000)
     b.add_argument("--seed", type=int, default=None)

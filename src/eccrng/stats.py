@@ -560,10 +560,12 @@ def _spectral_count(b: np.ndarray, threshold: float) -> int:
             if lo < hi:  # the four blocks are disjoint, so each entry is squared once
                 counts.append(_count_below(y[s, lo:hi], limit))
 
-    # one thread until the benchmark measures the program's own peak memory:
-    # splitting only the columns gave no gain when tried, and a second
-    # thread's buffers would show in peak_rss_mib, which today is the bench
-    # process's own peak
+    # one thread, for memory: splitting the columns over two threads is faster
+    # (2,064,512 bits 78.4 -> 66.6 ms, 1,142,856 bits 23.3 -> 19.2 ms, medians
+    # of 10 calls on a 2-vCPU Xeon), but it raised ascii-cli's peak_rss_mib
+    # from 59.6-59.7 to 61.2-61.7 MiB in two alternating pairs, and splitting
+    # the leaves' rffts as well took a fresh process's VmHWM growth at
+    # 2,280,013 bits from 24.9 to 49.2 MiB, past the 40 MiB bound of its test
     _columns(leaves, n, False, False, count)
     return sum(counts)
 

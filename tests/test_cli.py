@@ -55,6 +55,9 @@ def test_generate_markov_and_current_sources(tmp_path):
                "--bits", "5000", "--output", str(out2)) == 0
     bits = read_bit_file(str(out2), bit_count=5000)
     assert float(bits.mean()) == pytest.approx(0.5, abs=0.03)
+    # without --t-write, --current drives the 30 ns curve
+    assert run("generate", "--current", "100", "--bits", "10", "--output", str(out2)) == 0
+    assert load_manifest(manifest_path_for(str(out2))).params["t_write_ns"] == 30.0
 
 
 def test_seed_env_var_is_default_flag_wins(tmp_path, monkeypatch):
@@ -280,15 +283,29 @@ def test_calibrate_flags_repeat_the_library_defaults(capsys):
     assert (float(tols[1]), float(tols[2])) == (analytic["tol"].default, empirical["tol"].default)
 
 
-def test_bench_rejects_bad_source():
-    assert run("bench", "--bits", "100", "--source", "quantum:1") == 1
+def test_bench_rejects_bad_source(capsys):
+    assert run("bench", "--bits", "100", "--preset", "nope") == 1
+    assert "unknown preset 'nope'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [[], ["--preset", "data-b"], ["--markov", "0.4,0.1"]],
+                         ids=["default", "preset", "markov"])
+def test_bench_names_its_source_as_generate_does(tmp_path, capsys, flags):
+    # bench takes generate's source flags and, without one, measures bernoulli 0.5
+    out = tmp_path / "g.bits"
+    assert run("generate", *(flags or ["--bernoulli", "0.5"]), "--bits", "1000", "--seed", "2",
+               "--output", str(out)) == 0
+    source = load_manifest(manifest_path_for(str(out))).params["source"]
+    capsys.readouterr()
+    assert run("bench", *flags, "--bits", "1000", "--seed", "2") == 0
+    assert capsys.readouterr().out.splitlines()[1] == f"source {source} seed=2 bits=1000"
 
 
 @pytest.mark.parametrize(
     "argv, code",
     [
-        (["bench", "--bits", "100", "--source", "markov:0.9,-0.5"], 1),
-        (["bench", "--bits", "100", "--source", "bernoulli:2"], 1),
+        (["bench", "--bits", "100", "--markov", "0.9,-0.5"], 1),
+        (["bench", "--bits", "100", "--bernoulli", "2"], 1),
         (["bench", "--bits", "100", "--lfsr-seed", "99"], 1),
         (["bench", "--bits", "100", "--lfsr", "3,1,0", "--lfsr-seed", "99"], 1),
         (["postprocess", "{ascii}", "--lfsr", "3,1,0", "--lfsr-seed", "99",
@@ -312,7 +329,7 @@ def test_bench_rejects_bad_source():
         (["generate", "--current", "inf", "--bits", "10", "--output", "{out}"], 1),
         (["generate", "--preset", "data-b", "--model-config", "{far}", "--bits", "100",
           "--output", "{out}"], 1),
-        (["bench", "--bits", "100", "--source", "data-b", "--model-config", "{far}"], 1),
+        (["bench", "--bits", "100", "--preset", "data-b", "--model-config", "{far}"], 1),
         (["generate", "--current", "100", "--model-config", "{nan}", "--bits", "10",
           "--output", "{out}"], 2),
         (["calibrate", "--target", "0.276", "--tol", "inf"], 1),
@@ -333,6 +350,22 @@ def test_bench_rejects_bad_source():
           "--output", "{out}"], 1),
         (["test", "{ascii}", "--allow-short", "--fail-threshold", "-1"], 1),
         (["test", "{ascii}", "--allow-short", "--alpha", "0"], 1),
+        # a source flag that the chosen source does not read is refused, not ignored
+        (["generate", "--bernoulli", "0.5", "--t-write", "10", "--bits", "10",
+          "--output", "{out}"], 1),
+        (["generate", "--markov", "0.4,0.1", "--t-write", "10", "--bits", "10",
+          "--output", "{out}"], 1),
+        (["generate", "--preset", "data-b", "--t-write", "10", "--bits", "10",
+          "--output", "{out}"], 1),
+        (["generate", "--bernoulli", "0.5", "--model-config", "{far}", "--bits", "10",
+          "--output", "{out}"], 1),
+        (["generate", "--markov", "0.4,0.1", "--model-config", "{far}", "--bits", "10",
+          "--output", "{out}"], 1),
+        (["bench", "--bits", "100", "--bernoulli", "0.5", "--model-config", "{far}"], 1),
+        (["bench", "--bits", "100", "--markov", "0.4,0.1", "--model-config", "{far}"], 1),
+        (["bench", "--bits", "100", "--model-config", "{far}"], 1),  # the default bernoulli
+        # bench names its source with generate's flags; --source is gone
+        (["bench", "--bits", "100", "--source", "data-b"], 1),
     ],
 )
 def test_bad_argv_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, argv, code):
@@ -357,6 +390,8 @@ def test_bad_argv_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, arg
     err = capsys.readouterr().err
     assert "error:" in err
     assert "Traceback" not in err
+    # every case but the removed flag is refused by the CLI's own rules, not by argparse
+    assert ("unrecognized arguments" in err) == ("--source" in argv)
     # a rejected seed is named by where it came from
     for origin in ("--seed", "ECCRNG_SEED"):
         if origin in argv or origin in env_names:

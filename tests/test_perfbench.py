@@ -3,8 +3,9 @@ job's traced and untraced passes agree, and they and the CLI chain give the
 bits and the file bytes of the benchmark's independent reference pipeline.
 At full length, each workload's seed-0 capture has the digest the benchmark
 checks, its seed-1 job and set-up probe pass the checks the benchmark makes
-at seed 1 before it times anything, and the workloads' copies of CLI
-defaults equal the CLI's."""
+at seed 1 before it times anything, its seed-1 CLI chain, run as child
+processes, passes the checks the benchmark makes on every chain, and the
+workloads' copies of CLI defaults equal the CLI's."""
 
 import dataclasses
 import hashlib
@@ -26,10 +27,19 @@ import spans  # noqa: E402
 from workloads import LFSR_SEED, PRESET_CALIBRATION_TOL, WORKLOADS  # noqa: E402
 
 from eccrng import cli, stats  # noqa: E402
+from eccrng.bitio import load_manifest, manifest_path_for  # noqa: E402
 from eccrng.cli import main  # noqa: E402
 from eccrng.source import generate_stream  # noqa: E402
 
 REFERENCES = json.loads((PERFBENCH / "references.json").read_text(encoding="utf-8"))
+
+
+def _child_env() -> dict:
+    # what run.py hands its children: this tree's src first, and no seed from the environment
+    env = {k: v for k, v in os.environ.items() if k != "ECCRNG_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PERFBENCH.parent / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -104,13 +114,37 @@ def test_seed_1_job_and_probe_pass_the_benchmark_checks(tmp_path, name):
     assert got == {k: expected[k] for k in got}
     assert job.readback_ok
 
-    env = {k: v for k, v in os.environ.items() if k != "ECCRNG_SEED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PERFBENCH.parent / "src"),
-                                                      env.get("PYTHONPATH")]))
     probe = subprocess.run([sys.executable, str(PERFBENCH / "probe.py"), name, "1"],
-                           env=env, capture_output=True, text=True, timeout=120)
+                           env=_child_env(), capture_output=True, text=True, timeout=120)
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.split()[-1:] == [str(int(job.capture[0]))]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_seed_1_cli_chain_passes_the_benchmark_checks(tmp_path, name):
+    # run.py's three chain steps at seed 1 and full length, each in a fresh
+    # interpreter as run.py starts them; rejection-wide's test step takes the
+    # spectral count's second thread at 2,280,011 bits
+    w, expected = WORKLOADS[name], REFERENCES[name]["1"]
+    enc, ext = w.encoding, "txt" if w.encoding == "ascii" else "bin"
+    capture, output = tmp_path / f"capture.{ext}", tmp_path / f"output.{ext}"
+    report = tmp_path / "output.report"
+    steps = (
+        (["generate", *w.source, "--bits", str(w.bits), "--seed", "1",
+          "--output", str(capture), "--encoding", enc], capture, "capture_sha", w.bits),
+        (["postprocess", str(capture), "--input-encoding", enc, *w.stage_flags(),
+          "--output", str(output), "--encoding", enc],
+         output, "output_sha", expected["output_bits"]),
+        (["test", str(output), "--input-encoding", enc, "--report", str(report)]
+         + (["--bits", str(w.battery_bits)] if w.battery_bits else []), report, "report_sha", 0),
+    )
+    for argv, artifact, key, bits in steps:
+        done = subprocess.run([sys.executable, "-m", "eccrng.cli", *argv], env=_child_env(),
+                              cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (argv[0], done.stdout, done.stderr)
+        sha = hashlib.sha256(artifact.read_bytes()).hexdigest()
+        manifest = load_manifest(manifest_path_for(str(artifact)))
+        assert (sha, manifest.output_sha256, manifest.output_bits) == (expected[key], sha, bits)
 
 
 def test_workload_defaults_are_the_cli_defaults():
