@@ -26,7 +26,6 @@ from .source import (
     CalibrationError,
     SourceConfig,
     calibrate_current,
-    calibrate_current_empirical,
     generate_stream,
     load_switching_models,
     switching_probability,
@@ -113,8 +112,20 @@ def _parse_code(text: str):
 
 
 def _build_stages(args) -> PipelineSpec:
+    """The stages the stage flags name, in order.
+
+    --lfsr-seed and --injection are refused without an --lfsr stage to read
+    them; an absent one is set on args to the stage's default, which is what
+    the manifest records.
+    """
     if not args.stages:
         raise UsageError("no pipeline stages given (use --rejection, --lfsr, --ecc)")
+    if not any(kind == "lfsr" for kind, _ in args.stages):
+        for flag, value in (("--lfsr-seed", args.lfsr_seed), ("--injection", args.injection)):
+            if value is not None:
+                raise UsageError(f"{flag} applies to --lfsr stages only, and no --lfsr is given")
+    args.lfsr_seed = LfsrStage.seed if args.lfsr_seed is None else args.lfsr_seed
+    args.injection = args.injection or LfsrStage.injection
     built = []
     for kind, value in args.stages:
         if kind == "rejection":
@@ -203,15 +214,19 @@ def _resolve_source(args, seed: int) -> tuple[SourceConfig, dict]:
 
     Every source rule is kept here: exactly one source flag, --t-write only
     with --current, and --model-config only with a source that reads the
-    switching model. Only the text is parsed: SourceConfig judges the values.
+    switching model. The messages name only the source flags the command
+    declares (args.source_kinds). Only the text is parsed: SourceConfig
+    judges the values.
     """
+    flags = [f"--{k}" for k in args.source_kinds]
     if len(args.sources or ()) != 1:
-        raise UsageError("choose exactly one source: --preset, --bernoulli, --markov or --current")
-    (kind, value), t_write = args.sources[0], getattr(args, "t_write", None)  # bench has none
+        raise UsageError(f"choose exactly one source: {', '.join(flags[:-1])} or {flags[-1]}")
+    (kind, value), t_write = args.sources[0], args.t_write
     if t_write is not None and kind != "current":
         raise UsageError(f"--t-write applies to --current only, not to --{kind}")
     if args.model_config is not None and kind not in ("preset", "current"):
-        raise UsageError(f"--model-config applies to --preset and --current only, not to --{kind}")
+        readers = " and ".join(f for f in flags if f in ("--preset", "--current"))
+        raise UsageError(f"--model-config applies to {readers} only, not to --{kind}")
     if kind == "bernoulli":
         p = _parse_float(value, f"{kind} source: bad probability")
         fields, params = {"p": p}, {"source": f"bernoulli:{p:g}"}
@@ -332,27 +347,20 @@ def cmd_calibrate(args, argv) -> int:
     model = _load_model(args.model_config, args.t_write)
     opts = {} if args.tol is None else {"tol": args.tol}  # left out: the library's default
     try:
-        if args.empirical:
-            seed, argv = _resolve_seed(args, argv)
-            if args.batch_bits is not None:
-                opts["batch_bits"] = args.batch_bits
-            current = calibrate_current_empirical(model, target=args.target, seed=seed, **opts)
-        else:
-            current = calibrate_current(model, target=args.target, **opts)
+        current = calibrate_current(model, target=args.target, **opts)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     except CalibrationError as exc:
         print(f"calibrate: failed: {exc}", file=sys.stderr)
         return 1
     p = switching_probability(model, current)
-    mode = "empirical" if args.empirical else "analytic"
     text = (
-        f"calibrate ({mode}): t_write={model.t_write_ns:g} ns target={args.target:g}\n"
+        f"calibrate (analytic): t_write={model.t_write_ns:g} ns target={args.target:g}\n"
         f"current_ua {current:.6f}\n"
         f"curve_probability {p:.9f}\n"
     )
     _write_text(text, args.output, argv, "calibrate",
-                {"t_write_ns": model.t_write_ns, "target": args.target, "mode": mode})
+                {"t_write_ns": model.t_write_ns, "target": args.target, "mode": "analytic"})
     return 0
 
 
@@ -437,14 +445,16 @@ def _add_stage_flags(p: _Parser) -> None:
     p.add_argument("--ecc", dest="stages", action="append", type=lambda v: ("ecc", v),
                    metavar="N,K,T",
                    help="code compression stage, e.g. 31,16,3 (repeatable, order matters)")
-    p.add_argument("--lfsr-seed", type=int, default=LfsrStage.seed,
+    # None tells an absent flag from a given one; _build_stages puts in the stage's defaults
+    p.add_argument("--lfsr-seed", type=int, default=None,
                    help="register preload for --lfsr stages")
     p.add_argument("--injection", choices=[FEEDBACK_INJECTION, OUTPUT_XOR_INJECTION],
-                   default=FEEDBACK_INJECTION)
+                   default=None)
 
 
-def _add_source_flags(p: _Parser) -> None:
-    # each source flag appends (kind, value) to one list; _resolve_source wants exactly one
+def _add_source_flags(p: _Parser, current: bool = False) -> None:
+    # each source flag appends (kind, value) to one list; _resolve_source wants exactly one,
+    # and names in its messages the kinds declared here
     p.add_argument("--preset", dest="sources", action="append", type=lambda v: ("preset", v),
                    metavar="{" + ",".join(sorted(PRESETS)) + "}",
                    help="capture profile (operating probability + pulse width)")
@@ -452,6 +462,14 @@ def _add_source_flags(p: _Parser) -> None:
                    type=lambda v: ("bernoulli", v), metavar="P", help="i.i.d. source at P(1)=P")
     p.add_argument("--markov", dest="sources", action="append", type=lambda v: ("markov", v),
                    metavar="P,RHO", help="correlated source with lag-1 autocorrelation RHO")
+    kinds = ("preset", "bernoulli", "markov")
+    if current:
+        p.add_argument("--current", dest="sources", action="append",
+                       type=lambda v: ("current", v), metavar="UA",
+                       help="drive the switching model at this current (microamps)")
+        p.add_argument("--t-write", type=float, default=None, help="write pulse ns for --current")
+        kinds += ("current",)
+    p.set_defaults(source_kinds=kinds, t_write=None)  # a command without --t-write gives none
 
 
 def build_parser() -> _Parser:
@@ -460,10 +478,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="simulate an entropy-source capture")
-    _add_source_flags(g)
-    g.add_argument("--current", dest="sources", action="append", type=lambda v: ("current", v),
-                   metavar="UA", help="drive the switching model at this current (microamps)")
-    g.add_argument("--t-write", type=float, default=None, help="write pulse ns for --current")
+    _add_source_flags(g, current=True)
     g.add_argument("--model-config", default=None, help="switching-model file (default: shipped)")
     g.add_argument("--bits", type=int, required=True, help="number of bits to generate")
     g.add_argument("--seed", type=int, default=None,
@@ -493,12 +508,7 @@ def build_parser() -> _Parser:
     c = sub.add_parser("calibrate", help="find the current for a target probability")
     c.add_argument("--t-write", type=float, default=30.0)
     c.add_argument("--target", type=float, default=0.5)
-    c.add_argument("--tol", type=float, default=None,
-                   help="default 1e-9 analytic, 5e-3 empirical")
-    c.add_argument("--empirical", action="store_true",
-                   help="calibrate against measured batches instead of the curve")
-    c.add_argument("--batch-bits", type=int, default=None)
-    c.add_argument("--seed", type=int, default=None)
+    c.add_argument("--tol", type=float, default=None, help="default 1e-9")
     c.add_argument("--model-config", default=None)
     c.add_argument("--output", default=None, help="also write the result as a text artifact")
     c.set_defaults(func=cmd_calibrate)

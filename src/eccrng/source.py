@@ -27,7 +27,6 @@ __all__ = [
     "load_switching_models",
     "switching_probability",
     "calibrate_current",
-    "calibrate_current_empirical",
     "bernoulli_stream",
     "markov_stream",
     "mtj_stream",
@@ -142,42 +141,6 @@ def calibrate_current(model: SwitchingModel, target: float = 0.5, tol: float = 1
             f"the curve at {current:g} uA misses target {target} by more than tol={tol}"
         )
     return current
-
-
-def calibrate_current_empirical(
-    model: SwitchingModel,
-    target: float = 0.5,
-    tol: float = 5e-3,
-    seed: int = 0,
-    batch_bits: int = 100_000,
-) -> float:
-    """Feedback calibration against measured batches instead of the curve.
-
-    Each step generates a fresh seeded batch at the trial current, compares
-    the ones-fraction with the target and narrows the current bracket, for at
-    most 64 batches.  The tolerance has to be generous next to the batch
-    noise (about 1/sqrt(batch_bits)) or the loop cannot settle.
-    """
-    _check_target(target, tol)
-    if batch_bits < 1:
-        raise ValueError(f"batch_bits must be >= 1, got {batch_bits}")
-    span = 60.0 * model.slope_scale_ua  # logistic is fully saturated 60 widths out
-    lo = model.i50_ua - span
-    hi = model.i50_ua + span
-    for step in range(64):
-        mid = 0.5 * (lo + hi)
-        batch = mtj_stream(model, mid, seed=np.random.SeedSequence([seed, step]), length=batch_bits)
-        frac = float(batch.mean())
-        if abs(frac - target) <= tol:
-            return mid
-        if frac < target:
-            lo = mid
-        else:
-            hi = mid
-    raise CalibrationError(
-        f"measured fraction never came within tol={tol} of {target} after 64 batches; "
-        f"tol is likely below the batch noise floor"
-    )
 
 
 def _check_probability(p) -> None:

@@ -618,6 +618,14 @@ def run_battery(
 
     Pass means at most fail_threshold tests failed.  Skipped tests count
     neither way.  Raises EmptyBatteryError when nothing could run.
+
+    At the defaults (alpha 0.01, fail_threshold 2) ideal bits get Fail about
+    1% of the time: 1.00% +- 0.16% at 131,072 bits over 4,000 seeds, and
+    1.00% +- 0.41% at 10^6 bits over 600.  Nine independent tests would fail
+    three at once about 1e-4 of the time; these fail together in two
+    families, {monobit, cumulative sums forward, backward}, which read the
+    ones count, and {runs, serial, approximate entropy}, which read short
+    patterns of adjacent bits.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")

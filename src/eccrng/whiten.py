@@ -185,7 +185,7 @@ class EccStage:
 
 @dataclass(frozen=True)
 class PipelineSpec:
-    """Ordered whitening stages; default composition is LFSR then ECC."""
+    """Ordered whitening stages, applied first to last; at least one."""
 
     stages: tuple
 

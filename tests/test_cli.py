@@ -11,7 +11,7 @@ import pytest
 
 from eccrng.bitio import load_manifest, manifest_path_for, read_bit_file
 from eccrng.cli import build_parser, main
-from eccrng.source import calibrate_current, calibrate_current_empirical
+from eccrng.source import calibrate_current
 from eccrng.stats import parse_report
 
 
@@ -92,6 +92,8 @@ def test_postprocess_pipeline_and_order(tmp_path):
     m1 = load_manifest(manifest_path_for(str(out1)))
     assert m1.output_bits == (9920 // 31) * 16
     assert m1.params["stages"] == ["lfsr(3,1,0)", "ecc(31,16,3)"]
+    # absent register flags are recorded as the stage's defaults
+    assert (m1.params["lfsr_seed"], m1.params["injection"]) == (1, "feedback")
 
     out2 = tmp_path / "el.bits"
     assert run("postprocess", str(raw), "--ecc", "31,16,3", "--lfsr", "3,1,0",
@@ -122,6 +124,7 @@ def test_postprocess_rejection_stage(tmp_path):
     assert run("postprocess", str(raw), "--rejection", "--output", str(out)) == 0
     m = load_manifest(manifest_path_for(str(out)))
     assert m.params["stages"] == ["rejection"]
+    assert (m.params["lfsr_seed"], m.params["injection"]) == (1, "feedback")
     assert 0.15 < m.output_bits / 20000 < 0.25
 
 
@@ -212,8 +215,7 @@ def test_calibrate_command(tmp_path, capsys):
     assert prob == pytest.approx(0.276, abs=1e-6)
     assert current < 100.0  # below the 30 ns midpoint for a sub-half target
     artifact = tmp_path / "cal.txt"
-    assert run("calibrate", "--empirical", "--target", "0.5",
-               "--output", str(artifact)) == 0
+    assert run("calibrate", "--target", "0.5", "--output", str(artifact)) == 0
     assert artifact.exists()
     assert run("calibrate", "--t-write", "17") == 1  # no such model
 
@@ -271,16 +273,14 @@ def test_help_exits_zero_without_a_traceback(capsys, command):
 
 def test_calibrate_flags_repeat_the_library_defaults(capsys):
     # --target's default is printed, so it stays a copy; --tol's is only named in its help
-    analytic, empirical = (inspect.signature(f).parameters
-                           for f in (calibrate_current, calibrate_current_empirical))
-    target = build_parser().parse_args(["calibrate"]).target
-    assert target == analytic["target"].default == empirical["target"].default
+    defaults = inspect.signature(calibrate_current).parameters
+    assert build_parser().parse_args(["calibrate"]).target == defaults["target"].default
     with pytest.raises(SystemExit):
         main(["calibrate", "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
-    tols = re.search(r"--tol TOL default (\S+) analytic, (\S+) empirical", help_text)
-    assert tols is not None
-    assert (float(tols[1]), float(tols[2])) == (analytic["tol"].default, empirical["tol"].default)
+    tol = re.search(r"--tol TOL default (\S+)", help_text)
+    assert tol is not None
+    assert float(tol[1]) == defaults["tol"].default
 
 
 def test_bench_rejects_bad_source(capsys):
@@ -299,6 +299,28 @@ def test_bench_names_its_source_as_generate_does(tmp_path, capsys, flags):
     capsys.readouterr()
     assert run("bench", *flags, "--bits", "1000", "--seed", "2") == 0
     assert capsys.readouterr().out.splitlines()[1] == f"source {source} seed=2 bits=1000"
+
+
+# flags a command no longer declares
+REMOVED_FLAGS = {"bench": {"--source"}, "calibrate": {"--empirical", "--batch-bits", "--seed"}}
+
+# the whole stderr of some bad-argv cases, by argv as written in the list below
+BAD_ARGV_ERRORS = {
+    "bench --bits 1000 --bernoulli 0.5 --markov 0.4,0.1":
+        "error: choose exactly one source: --preset, --bernoulli or --markov\n",
+    "bench --bits 1000 --bernoulli 0.5 --model-config x":
+        "error: --model-config applies to --preset only, not to --bernoulli\n",
+    "generate --bernoulli 0.5 --markov 0.4,0.1 --bits 10 --output {out}":
+        "error: choose exactly one source: --preset, --bernoulli, --markov or --current\n",
+    "generate --bernoulli 0.5 --model-config {far} --bits 10 --output {out}":
+        "error: --model-config applies to --preset and --current only, not to --bernoulli\n",
+    "postprocess {ascii} --ecc 7,4,1 --lfsr-seed 5 --injection output-xor --output {out}":
+        "error: --lfsr-seed applies to --lfsr stages only, and no --lfsr is given\n",
+    "postprocess {ascii} --rejection --injection feedback --output {out}":
+        "error: --injection applies to --lfsr stages only, and no --lfsr is given\n",
+    "calibrate --empirical --seed -2":
+        "error: eccrng: unrecognized arguments: --empirical --seed -2\n",
+}
 
 
 @pytest.mark.parametrize(
@@ -366,6 +388,19 @@ def test_bench_names_its_source_as_generate_does(tmp_path, capsys, flags):
         (["bench", "--bits", "100", "--model-config", "{far}"], 1),  # the default bernoulli
         # bench names its source with generate's flags; --source is gone
         (["bench", "--bits", "100", "--source", "data-b"], 1),
+        # bench's messages name only the source flags bench declares
+        (["bench", "--bits", "1000", "--bernoulli", "0.5", "--markov", "0.4,0.1"], 1),
+        (["bench", "--bits", "1000", "--bernoulli", "0.5", "--model-config", "x"], 1),
+        (["generate", "--bernoulli", "0.5", "--markov", "0.4,0.1", "--bits", "10",
+          "--output", "{out}"], 1),
+        # the register's options are refused when no --lfsr stage reads them
+        (["postprocess", "{ascii}", "--ecc", "7,4,1", "--lfsr-seed", "5",
+          "--injection", "output-xor", "--output", "{out}"], 1),
+        (["postprocess", "{ascii}", "--rejection", "--injection", "feedback",
+          "--output", "{out}"], 1),
+        (["bench", "--bits", "100", "--ecc", "7,4,1", "--lfsr-seed", "5",
+          "--injection", "output-xor"], 1),
+        (["bench", "--bits", "100", "--rejection", "--injection", "output-xor"], 1),
     ],
 )
 def test_bad_argv_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, argv, code):
@@ -390,8 +425,10 @@ def test_bad_argv_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, arg
     err = capsys.readouterr().err
     assert "error:" in err
     assert "Traceback" not in err
-    # every case but the removed flag is refused by the CLI's own rules, not by argparse
-    assert ("unrecognized arguments" in err) == ("--source" in argv)
+    # every case but a removed flag is refused by the CLI's own rules, not by argparse
+    removed = REMOVED_FLAGS.get(argv[0], set()) & set(argv)
+    assert ("unrecognized arguments" in err) == bool(removed)
+    assert err == BAD_ARGV_ERRORS.get(" ".join(argv), err)
     # a rejected seed is named by where it came from
     for origin in ("--seed", "ECCRNG_SEED"):
         if origin in argv or origin in env_names:
@@ -508,14 +545,26 @@ def test_mistyped_sidecar_is_ignored_not_a_traceback(tmp_path, capsys, field, va
 
 def test_readme_report_is_what_its_commands_print(tmp_path, capsys, monkeypatch):
     text = README.read_text(encoding="utf-8")
-    argvs = {line.split()[1]: shlex.split(line)[1:]
-             for line in text.splitlines() if line.startswith("eccrng ")}
+    # each example: an "eccrng ..." line, then the "# " lines of what it prints
+    examples, argv = {}, None
+    for line in text.splitlines():
+        if line.startswith("eccrng "):
+            argv = shlex.split(line)[1:]
+            examples[argv[0]] = (argv, [])
+        elif argv and line.startswith("# "):
+            examples[argv[0]][1].append(line[2:])
+        else:
+            argv = None
     report = text.split("## Battery report format", 1)[1].split("```\n", 2)[1]
     monkeypatch.delenv("ECCRNG_SEED", raising=False)
     monkeypatch.chdir(tmp_path)
-    assert run(*argvs["generate"]) == 0
-    assert run(*argvs["postprocess"]) == 0
-    capsys.readouterr()
-    assert argvs["test"] == ["test", "clean.bin", "--allow-short"]
-    assert run(*argvs["test"]) == 0
+    # bench prints timings, so its example is not checked
+    for command in ("generate", "postprocess", "calibrate", "speed"):
+        argv, shown = examples[command]
+        assert run(*argv) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert shown and set(shown) <= set(printed), (command, shown, printed)
+    argv, _ = examples["test"]
+    assert argv == ["test", "clean.bin", "--allow-short"]
+    assert run(*argv) == 0
     assert capsys.readouterr().out == report

@@ -149,6 +149,8 @@ def test_seed_1_cli_chain_passes_the_benchmark_checks(tmp_path, name):
 
 def test_workload_defaults_are_the_cli_defaults():
     # the workloads leave --lfsr-seed unset, and presets calibrate at the CLI's tolerance
-    args = cli.build_parser().parse_args(["postprocess", "in", "--output", "out"])
-    assert LFSR_SEED == args.lfsr_seed
+    args = cli.build_parser().parse_args(["postprocess", "in", "--lfsr", "3,1,0",
+                                          "--output", "out"])
+    (stage,) = cli._build_stages(args).stages
+    assert LFSR_SEED == stage.seed
     assert PRESET_CALIBRATION_TOL == cli.PRESET_CALIBRATION_TOL

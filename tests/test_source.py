@@ -13,7 +13,6 @@ from eccrng.source import (
     SwitchingModel,
     bernoulli_stream,
     calibrate_current,
-    calibrate_current_empirical,
     generate_stream,
     load_switching_models,
     markov_stream,
@@ -207,20 +206,6 @@ def test_calibrate_current_validation_and_failure():
     far = SwitchingModel(t_write_ns=30.0, i50_ua=1e20, slope_scale_ua=1e-3)
     with pytest.raises(CalibrationError):
         calibrate_current(far, target=0.511, tol=1e-3)
-
-
-def test_calibrate_current_empirical_settles_near_target():
-    model = load_switching_models()[30.0]
-    current = calibrate_current_empirical(model, target=0.276, tol=5e-3, seed=1)
-    assert switching_probability(model, current) == pytest.approx(0.276, abs=0.01)
-
-
-def test_calibrate_current_empirical_noise_floor():
-    # a 1000-bit batch measures the fraction in steps of 1/1000, so none of
-    # the 64 batches comes within 1e-7 of a target halfway between two steps
-    model = load_switching_models()[30.0]
-    with pytest.raises(CalibrationError):
-        calibrate_current_empirical(model, target=0.5005, tol=1e-7, seed=1, batch_bits=1000)
 
 
 def test_mtj_stream_reproduces_operating_point():

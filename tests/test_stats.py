@@ -749,6 +749,18 @@ def test_battery_counting_rule():
     assert lenient.verdict == "Pass"
 
 
+def test_battery_false_alarm_rate_on_ideal_bits():
+    # the verdict's size: 27 of these 2,000 ideal streams get Fail (1.35%),
+    # not the ~1e-4 of nine independent tests, because tests fail together
+    # in families; the band is 27 +- 3 sigma of a binomial
+    fails = sum(
+        run_battery(np.random.default_rng(seed).integers(0, 2, 16_384, dtype=np.uint8)).verdict
+        == "Fail"
+        for seed in range(2000)
+    )
+    assert 12 <= fails <= 42
+
+
 def test_battery_validation():
     bits = bernoulli_stream(0.5, 1, 5000)
     with pytest.raises(ValueError):
