@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 
@@ -41,10 +40,11 @@ from .whiten import (
     run_pipeline,
 )
 
-SEED_ENV_VAR = "ECCRNG_SEED"
-
 # How closely a preset's calibrated current must hit the preset's probability.
 PRESET_CALIBRATION_TOL = 1e-12
+
+# The write pulse of calibrate and of generate --current when --t-write is absent (ns).
+DEFAULT_T_WRITE_NS = 30.0
 
 # Published throughput reference points for the speed table (MHz).
 SPEED_REFERENCES = (
@@ -64,32 +64,6 @@ class CliIoError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{SEED_ENV_VAR}={raw!r} is not an integer seed") from None
-
-
-def _resolve_seed(args, argv: list[str]) -> tuple[int, list[str]]:
-    """The run's seed, and argv with that seed spelled out.
-
-    The manifest stores argv for replay, so a seed taken from the
-    environment is added to it; the replay then needs no environment.
-    """
-    if args.seed is not None:
-        seed, origin = args.seed, "--seed"
-    else:
-        seed, origin = _default_seed(), SEED_ENV_VAR
-        argv = [*argv, "--seed", str(seed)]
-    if seed < 0:
-        raise UsageError(f"{origin} must be a non-negative integer, got {seed}")
-    return seed, argv
 
 
 def _parse_taps(text: str) -> LfsrSpec:
@@ -209,15 +183,17 @@ def _write_text(text: str, path, argv, command, params, input_info=None) -> None
         _write_artifact(path, text.encode("utf-8"), argv, command, params, input_info=input_info)
 
 
-def _resolve_source(args, seed: int) -> tuple[SourceConfig, dict]:
+def _resolve_source(args) -> tuple[SourceConfig, dict]:
     """Build the SourceConfig that the source flags name; returns (config, params).
 
-    Every source rule is kept here: exactly one source flag, --t-write only
-    with --current, and --model-config only with a source that reads the
-    switching model. The messages name only the source flags the command
-    declares (args.source_kinds). Only the text is parsed: SourceConfig
-    judges the values.
+    Every source rule is kept here: a non-negative --seed, exactly one source
+    flag, --t-write only with --current, and --model-config only with a
+    source that reads the switching model. The messages name only the source
+    flags the command declares (args.source_kinds). Only the text is parsed:
+    SourceConfig judges the values.
     """
+    if args.seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     flags = [f"--{k}" for k in args.source_kinds]
     if len(args.sources or ()) != 1:
         raise UsageError(f"choose exactly one source: {', '.join(flags[:-1])} or {flags[-1]}")
@@ -247,7 +223,7 @@ def _resolve_source(args, seed: int) -> tuple[SourceConfig, dict]:
             params = {"source": f"preset:{value}", "p": p}
         else:
             current = _parse_float(value, "bad current")
-            t_write = 30.0 if t_write is None else t_write
+            t_write = DEFAULT_T_WRITE_NS if t_write is None else t_write
             params = {"source": f"mtj:{current:g}uA"}
         model = _load_model(args.model_config, t_write)
         if kind == "preset":
@@ -259,10 +235,10 @@ def _resolve_source(args, seed: int) -> tuple[SourceConfig, dict]:
         kind, fields = "mtj", {"model": model, "current_ua": current}
         params["t_write_ns"] = t_write
     try:
-        cfg = SourceConfig(kind, seed, args.bits, **fields)
+        cfg = SourceConfig(kind, args.seed, args.bits, **fields)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return cfg, {**params, "seed": seed}
+    return cfg, {**params, "seed": args.seed}
 
 
 def _parse_float(text: str, what: str) -> float:
@@ -288,8 +264,7 @@ def _load_model(config_path, t_write):
 def cmd_generate(args, argv) -> int:
     if args.bits < 0:
         raise UsageError("--bits must be a non-negative integer")
-    seed, argv = _resolve_seed(args, argv)
-    cfg, params = _resolve_source(args, seed)
+    cfg, params = _resolve_source(args)
     bits = generate_stream(cfg)
     params["bits"] = int(bits.size)
     _write_artifact(args.output, bitio.encode_bits(bits, args.encoding), argv, "generate",
@@ -391,12 +366,11 @@ def cmd_bench(args, argv) -> int:
     # the strongest mid-length compressor
     args.sources = args.sources or [("bernoulli", "0.5")]
     args.stages = args.stages or [("lfsr", "3,1,0"), ("ecc", "31,16,3")]
-    seed, argv = _resolve_seed(args, argv)
-    cfg, params = _resolve_source(args, seed)
+    cfg, params = _resolve_source(args)
     source_label = params["source"]
     pipeline = _build_stages(args)
 
-    lines = ["bench_version 1", f"source {source_label} seed={seed} bits={args.bits}"]
+    lines = ["bench_version 1", f"source {source_label} seed={args.seed} bits={args.bits}"]
     t0 = time.perf_counter()
     bits = generate_stream(cfg)
     gen_seconds = time.perf_counter() - t0
@@ -422,7 +396,7 @@ def cmd_bench(args, argv) -> int:
     lines.append(f"output_bits {cur.size}")
     lines.append(f"throughput_mbit_s {end_rate:.3f}")
     _write_text("\n".join(lines) + "\n", args.output, argv, "bench",
-                {"source": source_label, "seed": seed, "bits": args.bits})
+                {"source": source_label, "seed": args.seed, "bits": args.bits})
     return 0
 
 
@@ -453,8 +427,9 @@ def _add_stage_flags(p: _Parser) -> None:
 
 
 def _add_source_flags(p: _Parser, current: bool = False) -> None:
-    # each source flag appends (kind, value) to one list; _resolve_source wants exactly one,
-    # and names in its messages the kinds declared here
+    # every flag _resolve_source reads is declared here. Each source flag appends
+    # (kind, value) to one list; _resolve_source wants exactly one, and names in its
+    # messages the kinds declared here
     p.add_argument("--preset", dest="sources", action="append", type=lambda v: ("preset", v),
                    metavar="{" + ",".join(sorted(PRESETS)) + "}",
                    help="capture profile (operating probability + pulse width)")
@@ -469,6 +444,8 @@ def _add_source_flags(p: _Parser, current: bool = False) -> None:
                        help="drive the switching model at this current (microamps)")
         p.add_argument("--t-write", type=float, default=None, help="write pulse ns for --current")
         kinds += ("current",)
+    p.add_argument("--model-config", default=None, help="switching-model file (default: shipped)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.set_defaults(source_kinds=kinds, t_write=None)  # a command without --t-write gives none
 
 
@@ -479,10 +456,7 @@ def build_parser() -> _Parser:
 
     g = sub.add_parser("generate", help="simulate an entropy-source capture")
     _add_source_flags(g, current=True)
-    g.add_argument("--model-config", default=None, help="switching-model file (default: shipped)")
     g.add_argument("--bits", type=int, required=True, help="number of bits to generate")
-    g.add_argument("--seed", type=int, default=None,
-                   help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
     g.add_argument("--output", required=True)
     g.add_argument("--encoding", choices=[bitio.PACKED, bitio.ASCII], default=bitio.PACKED)
     g.set_defaults(func=cmd_generate)
@@ -506,7 +480,7 @@ def build_parser() -> _Parser:
     t.set_defaults(func=cmd_test)
 
     c = sub.add_parser("calibrate", help="find the current for a target probability")
-    c.add_argument("--t-write", type=float, default=30.0)
+    c.add_argument("--t-write", type=float, default=DEFAULT_T_WRITE_NS)
     c.add_argument("--target", type=float, default=0.5)
     c.add_argument("--tol", type=float, default=None, help="default 1e-9")
     c.add_argument("--model-config", default=None)
@@ -522,9 +496,7 @@ def build_parser() -> _Parser:
     b = sub.add_parser("bench", help="measure pipeline throughput")
     _add_stage_flags(b)
     _add_source_flags(b)
-    b.add_argument("--model-config", default=None)
     b.add_argument("--bits", type=int, default=1_000_000)
-    b.add_argument("--seed", type=int, default=None)
     b.add_argument("--output", default=None)
     b.set_defaults(func=cmd_bench)
 

@@ -560,12 +560,15 @@ def _spectral_count(b: np.ndarray, threshold: float) -> int:
             if lo < hi:  # the four blocks are disjoint, so each entry is squared once
                 counts.append(_count_below(y[s, lo:hi], limit))
 
-    # one thread, for memory: splitting the columns over two threads is faster
-    # (2,064,512 bits 78.4 -> 66.6 ms, 1,142,856 bits 23.3 -> 19.2 ms, medians
-    # of 10 calls on a 2-vCPU Xeon), but it raised ascii-cli's peak_rss_mib
-    # from 59.6-59.7 to 61.2-61.7 MiB in two alternating pairs, and splitting
-    # the leaves' rffts as well took a fresh process's VmHWM growth at
-    # 2,280,013 bits from 24.9 to 49.2 MiB, past the 40 MiB bound of its test
+    # one thread, for memory: splitting the columns over two threads raised
+    # ascii-cli's peak_rss_mib from 59.6-59.7 to 61.2-61.7 MiB in two
+    # alternating pairs, and splitting the leaves' rffts as well took a fresh
+    # process's VmHWM growth at 2,280,013 bits from 24.9 to 49.2 MiB, past the
+    # 40 MiB bound of its test.  The column split is not faster either: medians
+    # of 21 alternating calls on a 2-vCPU Xeon, two runs, one thread against
+    # split, 55.1 / 57.4 against 55.1 / 58.4 ms at 2,064,512 bits (split
+    # faster in 9 and 6 of 21) and 15.8 / 17.5 against 16.9 / 17.8 ms at
+    # 1,142,856 (1 and 10 of 21)
     _columns(leaves, n, False, False, count)
     return sum(counts)
 
@@ -579,6 +582,16 @@ def spectral_test(bits, alpha: float = DEFAULT_ALPHA, min_length: int = 1000) ->
     for any other n, Bailey's four steps of short FFTs, on one thread.  Both
     run the same blocked column pass of twiddles and short FFTs.  At the
     battery's million-bit lengths each beats one rfft of length n.
+
+    The count's deviation from 0.95 n / 2 is scaled by rev. 1a's
+    sqrt(n 0.95 0.05 / 4), as SP 800-22 implementations do; the published
+    P-value 0.847187 for the expansion of e depends on it.  The bins are not
+    independent (Parseval ties their sum), so the true variance lies between
+    that /4 and the independent-bin /2, and sits near /3.8: on ideal bits,
+    default_rng(seed).integers(0, 2, n) for seeds 0 .. N - 1, the scaled
+    deviation has variance 1.045 +- 0.014 at n = 131,072 over 12,000 seeds
+    and 1.049 +- 0.024 at 16,384 over 4,000, and the test fails at
+    alpha = 0.01 on 1.24% +- 0.10% and 0.92% +- 0.15% of them.
     """
     b = _bits(bits).b
     n = b.size

@@ -60,28 +60,6 @@ def test_generate_markov_and_current_sources(tmp_path):
     assert load_manifest(manifest_path_for(str(out2))).params["t_write_ns"] == 30.0
 
 
-def test_seed_env_var_is_default_flag_wins(tmp_path, monkeypatch):
-    env_file = tmp_path / "env.bits"
-    flag_file = tmp_path / "flag.bits"
-    explicit = tmp_path / "explicit.bits"
-    monkeypatch.setenv("ECCRNG_SEED", "55")
-    assert run("generate", "--bernoulli", "0.5", "--bits", "4000",
-               "--output", str(env_file)) == 0
-    assert run("generate", "--bernoulli", "0.5", "--bits", "4000", "--seed", "3",
-               "--output", str(flag_file)) == 0
-    monkeypatch.delenv("ECCRNG_SEED")
-    assert run("generate", "--bernoulli", "0.5", "--bits", "4000", "--seed", "55",
-               "--output", str(explicit)) == 0
-    assert env_file.read_bytes() == explicit.read_bytes()
-    assert flag_file.read_bytes() != env_file.read_bytes()
-
-
-def test_seed_env_var_must_be_integer(tmp_path, monkeypatch):
-    monkeypatch.setenv("ECCRNG_SEED", "pi")
-    assert run("generate", "--bernoulli", "0.5", "--bits", "10",
-               "--output", str(tmp_path / "x.bits")) == 1
-
-
 def test_postprocess_pipeline_and_order(tmp_path):
     raw = tmp_path / "raw.bits"
     assert run("generate", "--bernoulli", "0.5", "--bits", "9920", "--seed", "1",
@@ -320,6 +298,12 @@ BAD_ARGV_ERRORS = {
         "error: --injection applies to --lfsr stages only, and no --lfsr is given\n",
     "calibrate --empirical --seed -2":
         "error: eccrng: unrecognized arguments: --empirical --seed -2\n",
+    "generate --bernoulli 0.5 --bits 10 --seed -1 --output {out}":
+        "error: --seed must be a non-negative integer, got -1\n",
+    "bench --bits 1000 --seed -1":
+        "error: --seed must be a non-negative integer, got -1\n",
+    "generate --bernoulli 0.5 --bits 10 --seed x --output {out}":
+        "error: eccrng generate: argument --seed: invalid int value: 'x'\n",
 }
 
 
@@ -342,7 +326,7 @@ BAD_ARGV_ERRORS = {
         (["generate", "--bernoulli", "0.5", "--bits", "10", "--seed", "-1",
           "--output", "{out}"], 1),
         (["bench", "--bits", "1000", "--seed", "-1"], 1),
-        (["ECCRNG_SEED=-3", "generate", "--bernoulli", "0.5", "--bits", "10",
+        (["generate", "--bernoulli", "0.5", "--bits", "10", "--seed", "x",
           "--output", "{out}"], 1),
         (["calibrate", "--empirical", "--seed", "-2"], 1),
         (["speed", "--read-ns", "nan"], 1),
@@ -403,7 +387,7 @@ BAD_ARGV_ERRORS = {
         (["bench", "--bits", "100", "--rejection", "--injection", "output-xor"], 1),
     ],
 )
-def test_bad_argv_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, argv, code):
+def test_bad_argv_is_an_error_not_a_traceback(tmp_path, capsys, argv, code):
     paths = {"ascii": tmp_path / "a.txt", "packed": tmp_path / "p.bits", "out": tmp_path / "o",
              "far": tmp_path / "far.cfg", "nan": tmp_path / "nan.cfg"}
     # a curve no float current resolves, and a non-finite midpoint
@@ -413,13 +397,6 @@ def test_bad_argv_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, arg
                "--encoding", "ascii", "--output", str(paths["ascii"])) == 0
     paths["packed"].write_bytes(b"\x9c\x22\x01")
     capsys.readouterr()
-    # leading NAME=value words set the environment, as in a shell
-    env_names = []
-    while "=" in argv[0]:
-        name, _, value = argv[0].partition("=")
-        monkeypatch.setenv(name, value)
-        env_names.append(name)
-        argv = argv[1:]
     # an exception escaping main is the traceback the entry point would print
     assert run(*(a.format(**paths) for a in argv)) == code
     err = capsys.readouterr().err
@@ -429,10 +406,6 @@ def test_bad_argv_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, arg
     removed = REMOVED_FLAGS.get(argv[0], set()) & set(argv)
     assert ("unrecognized arguments" in err) == bool(removed)
     assert err == BAD_ARGV_ERRORS.get(" ".join(argv), err)
-    # a rejected seed is named by where it came from
-    for origin in ("--seed", "ECCRNG_SEED"):
-        if origin in argv or origin in env_names:
-            assert origin in err
 
 
 def test_input_digest_and_bit_count_follow_the_file(tmp_path):
@@ -485,19 +458,18 @@ def test_bit_order_lsb_reads_packed_input(tmp_path, capsys):
 
 
 def test_manifest_replay_reproduces_bytes(tmp_path, monkeypatch):
-    # the seed comes from --seed, or from the environment, which the replay lacks
-    for name, seed_args, env_seed in (("flag", ["--seed", "5"], None), ("env", [], "5")):
+    # the manifest stores the argv as typed, with --seed or without it (seed 0)
+    for name, seed_args in (("flag", ["--seed", "5"]), ("default", [])):
         first = tmp_path / name / "one"
         second = tmp_path / name / "two"
         first.mkdir(parents=True)
         second.mkdir()
         monkeypatch.chdir(first)
-        if env_seed is not None:
-            monkeypatch.setenv("ECCRNG_SEED", env_seed)
-        assert run("generate", "--preset", "data-c", "--bits", "30000", *seed_args,
-                   "--output", "cap.bits") == 0
+        typed = ["generate", "--preset", "data-c", "--bits", "30000", *seed_args,
+                 "--output", "cap.bits"]
+        assert run(*typed) == 0
         argv = json.loads((first / "cap.bits.manifest.json").read_text())["argv"]
-        monkeypatch.delenv("ECCRNG_SEED", raising=False)
+        assert argv == typed
         monkeypatch.chdir(second)
         assert run(*argv) == 0
         assert (first / "cap.bits").read_bytes() == (second / "cap.bits").read_bytes()
@@ -556,7 +528,6 @@ def test_readme_report_is_what_its_commands_print(tmp_path, capsys, monkeypatch)
         else:
             argv = None
     report = text.split("## Battery report format", 1)[1].split("```\n", 2)[1]
-    monkeypatch.delenv("ECCRNG_SEED", raising=False)
     monkeypatch.chdir(tmp_path)
     # bench prints timings, so its example is not checked
     for command in ("generate", "postprocess", "calibrate", "speed"):

@@ -1,7 +1,8 @@
 """numpy is the only third-party package the runtime imports or declares, every
 public name has a user outside the tests, no module reaches into another's
-private names, the README's module map lists the package's modules, and the
-CLI's import loads no standard-library module it does not use."""
+private names, no module reads the environment, the README's module map lists
+the package's modules, and the CLI's import loads no standard-library module
+it does not use."""
 
 import ast
 import os
@@ -62,6 +63,21 @@ def test_no_module_imports_a_private_name_from_another():
                 private = [a.name for a in node.names
                            if a.name.startswith("_") and not a.name.endswith("__")]
                 assert not private, f"{path.name} imports {private}"
+
+
+# os names through which a module would read or set environment variables
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "putenv"}
+
+
+def test_no_module_reads_the_environment():
+    # a run is its argv: what a command does must not hang on a variable the
+    # manifest's replay does not carry
+    for path in sorted((ROOT / "src" / "eccrng").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # os.environ and the like, or a name imported from os
+            name = getattr(node, "attr", None) or getattr(node, "name", None)
+            if isinstance(node, (ast.Attribute, ast.alias)) and name in ENVIRONMENT_NAMES:
+                raise AssertionError(f"{path.name}:{node.lineno} reads the environment")
 
 
 def test_readme_module_map_lists_the_package_modules():
