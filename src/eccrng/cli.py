@@ -176,13 +176,6 @@ def _write_artifact(path, payload: bytes, argv, command, params, *,
     bitio.write_manifest(manifest)
 
 
-def _write_text(text: str, path, argv, command, params, input_info=None) -> None:
-    """Print text, and write it to path as an artifact when a path is given."""
-    sys.stdout.write(text)
-    if path:
-        _write_artifact(path, text.encode("utf-8"), argv, command, params, input_info=input_info)
-
-
 def _resolve_source(args) -> tuple[SourceConfig, dict]:
     """Build the SourceConfig that the source flags name; returns (config, params).
 
@@ -311,10 +304,12 @@ def cmd_test(args, argv) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    _write_text(stats.render_report(report), args.report or (args.input + ".report"), argv, "test",
-                {"alpha": args.alpha, "fail_threshold": args.fail_threshold,
-                 "block_size": args.block_size, "pattern_length": args.pattern_length,
-                 "input_bits": int(bits.size)}, input_info=(args.input, in_sha))
+    text = stats.render_report(report)
+    sys.stdout.write(text)
+    _write_artifact(args.report or (args.input + ".report"), text.encode("utf-8"), argv, "test",
+                    {"alpha": args.alpha, "fail_threshold": args.fail_threshold,
+                     "block_size": args.block_size, "pattern_length": args.pattern_length,
+                     "input_bits": int(bits.size)}, input_info=(args.input, in_sha))
     return 0 if report.passed else 3
 
 
@@ -329,13 +324,9 @@ def cmd_calibrate(args, argv) -> int:
         print(f"calibrate: failed: {exc}", file=sys.stderr)
         return 1
     p = switching_probability(model, current)
-    text = (
-        f"calibrate (analytic): t_write={model.t_write_ns:g} ns target={args.target:g}\n"
-        f"current_ua {current:.6f}\n"
-        f"curve_probability {p:.9f}\n"
-    )
-    _write_text(text, args.output, argv, "calibrate",
-                {"t_write_ns": model.t_write_ns, "target": args.target, "mode": "analytic"})
+    print(f"calibrate (analytic): t_write={model.t_write_ns:g} ns target={args.target:g}\n"
+          f"current_ua {current:.6f}\n"
+          f"curve_probability {p:.9f}")
     return 0
 
 
@@ -344,7 +335,13 @@ def cmd_speed_estimate(args, argv) -> int:
         raise UsageError(f"--read-ns must be positive and finite, got {args.read_ns}")
     if args.clocks_per_bit < 1:
         raise UsageError(f"--clocks-per-bit must be >= 1, got {args.clocks_per_bit}")
-    mhz = 1000.0 / (args.read_ns * args.clocks_per_bit)
+    try:
+        mhz = 1000.0 / (args.read_ns * args.clocks_per_bit)
+    except OverflowError:  # a clock count too large for a float: the rate underflows
+        mhz = 0.0
+    if not (math.isfinite(mhz) and mhz > 0):
+        raise UsageError(f"--read-ns {args.read_ns} at --clocks-per-bit {args.clocks_per_bit} "
+                         f"gives a rate of {mhz:g} MHz; it must be finite and positive")
     rows = [("mram-ecc (this estimate)", mhz)] + [(n, v) for n, v in SPEED_REFERENCES]
     lines = [
         f"speed: read {args.read_ns:g} ns/bit, {args.clocks_per_bit} clocks/bit",
@@ -354,8 +351,7 @@ def cmd_speed_estimate(args, argv) -> int:
     ]
     for name, value in rows:
         lines.append(f"{name:<28s} {value:>8g}")
-    _write_text("\n".join(lines) + "\n", args.output, argv, "speed",
-                {"read_ns": args.read_ns, "clocks_per_bit": args.clocks_per_bit, "mhz": mhz})
+    print("\n".join(lines))
     return 0
 
 
@@ -395,8 +391,7 @@ def cmd_bench(args, argv) -> int:
     end_rate = cur.size / total / 1e6 if total > 0 else float("inf")
     lines.append(f"output_bits {cur.size}")
     lines.append(f"throughput_mbit_s {end_rate:.3f}")
-    _write_text("\n".join(lines) + "\n", args.output, argv, "bench",
-                {"source": source_label, "seed": args.seed, "bits": args.bits})
+    print("\n".join(lines))
     return 0
 
 
@@ -484,20 +479,17 @@ def build_parser() -> _Parser:
     c.add_argument("--target", type=float, default=0.5)
     c.add_argument("--tol", type=float, default=None, help="default 1e-9")
     c.add_argument("--model-config", default=None)
-    c.add_argument("--output", default=None, help="also write the result as a text artifact")
     c.set_defaults(func=cmd_calibrate)
 
     s = sub.add_parser("speed", help="array read-rate estimate")
     s.add_argument("--read-ns", type=float, default=10.0)
     s.add_argument("--clocks-per-bit", type=int, default=4)
-    s.add_argument("--output", default=None)
     s.set_defaults(func=cmd_speed_estimate)
 
     b = sub.add_parser("bench", help="measure pipeline throughput")
     _add_stage_flags(b)
     _add_source_flags(b)
     b.add_argument("--bits", type=int, default=1_000_000)
-    b.add_argument("--output", default=None)
     b.set_defaults(func=cmd_bench)
 
     return parser

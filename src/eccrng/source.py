@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import importlib.resources
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,19 +123,15 @@ def load_switching_models(path: str | None = None) -> dict[float, SwitchingModel
     return _parse_model_text(text, origin)
 
 
-def _check_target(target: float, tol: float) -> None:
-    if not 0.0 < target < 1.0:
-        raise ValueError(f"target probability must lie in (0, 1), got {target}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
-
-
 def calibrate_current(model: SwitchingModel, target: float = 0.5, tol: float = 1e-9) -> float:
     """The curve's inverse, i50 + slope_scale * log(target / (1 - target)).
 
     Raises CalibrationError when the curve there misses target by more than
     tol (a curve too steep for float currents to resolve)."""
-    _check_target(target, tol)
+    if not 0.0 < target < 1.0:
+        raise ValueError(f"target probability must lie in (0, 1), got {target}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     current = model.i50_ua + model.slope_scale_ua * math.log(target / (1.0 - target))
     if not abs(switching_probability(model, current) - target) <= tol:
         raise CalibrationError(
@@ -151,6 +148,8 @@ def _check_probability(p) -> None:
 def _check_length(length: int) -> None:
     if length < 0:
         raise ValueError(f"length must be non-negative, got {length}")
+    if length > sys.maxsize:  # numpy's largest index
+        raise ValueError(f"length must be at most {sys.maxsize}, got {length}")
 
 
 def bernoulli_stream(p: float, seed, length: int) -> np.ndarray:
@@ -222,9 +221,10 @@ def mtj_stream(model: SwitchingModel, current_ua: float, seed, length: int) -> n
 class SourceConfig:
     """Declarative source description used by the command-line layer.
 
-    Every kind needs length >= 0, and its own fields: "bernoulli" p in
-    [0, 1], "markov" p and a rho that a two-state chain can have with it,
-    "mtj" model and a finite current_ua.  Otherwise ValueError is raised.
+    Every kind needs 0 <= length <= sys.maxsize (numpy's largest index),
+    and its own fields: "bernoulli" p in [0, 1], "markov" p and a rho that
+    a two-state chain can have with it, "mtj" model and a finite
+    current_ua.  Otherwise ValueError is raised.
     """
 
     kind: str  # "bernoulli" | "markov" | "mtj"

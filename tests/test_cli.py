@@ -1,9 +1,11 @@
 """Command-line behavior: exit codes, determinism, manifests, replay."""
 
+import hashlib
 import inspect
 import json
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -185,22 +187,18 @@ def test_speed_table(capsys):
     assert run("speed", "--clocks-per-bit", "0") == 1
 
 
-def test_calibrate_command(tmp_path, capsys):
+def test_calibrate_command(capsys):
     assert run("calibrate", "--t-write", "30", "--target", "0.276") == 0
     out = capsys.readouterr().out
     current = float(re.search(r"current_ua ([-\d.]+)", out).group(1))
     prob = float(re.search(r"curve_probability ([\d.]+)", out).group(1))
     assert prob == pytest.approx(0.276, abs=1e-6)
     assert current < 100.0  # below the 30 ns midpoint for a sub-half target
-    artifact = tmp_path / "cal.txt"
-    assert run("calibrate", "--target", "0.5", "--output", str(artifact)) == 0
-    assert artifact.exists()
     assert run("calibrate", "--t-write", "17") == 1  # no such model
 
 
-def test_bench_stage_lines_and_shares(tmp_path, capsys):
-    out_file = tmp_path / "bench.txt"
-    assert run("bench", "--bits", "50000", "--output", str(out_file)) == 0
+def test_bench_stage_lines_and_shares(capsys):
+    assert run("bench", "--bits", "50000") == 0
     text = capsys.readouterr().out
     # one line per timed stage, and no reference-oracle run beside them
     stages = re.findall(r"^stage=(\S+) ", text, re.MULTILINE)
@@ -209,7 +207,6 @@ def test_bench_stage_lines_and_shares(tmp_path, capsys):
     shares = [float(s) for s in re.findall(r"share=([\d.]+)%", text)]
     assert shares and sum(shares) <= 100.5
     assert "throughput_mbit_s" in text
-    assert out_file.read_text() == text
 
 
 @pytest.mark.parametrize(
@@ -217,14 +214,8 @@ def test_bench_stage_lines_and_shares(tmp_path, capsys):
     [
         (["test", "{raw}", "--allow-short", "--report", "{artifact}"], "test",
          {"alpha", "fail_threshold", "block_size", "pattern_length", "input_bits"}),
-        (["calibrate", "--target", "0.3", "--output", "{artifact}"], "calibrate",
-         {"t_write_ns", "target", "mode"}),
-        (["speed", "--read-ns", "3", "--output", "{artifact}"], "speed",
-         {"read_ns", "clocks_per_bit", "mhz"}),
-        (["bench", "--bits", "20000", "--seed", "2", "--output", "{artifact}"], "bench",
-         {"source", "seed", "bits"}),
     ],
-    ids=["test", "calibrate", "speed", "bench"],
+    ids=["test"],
 )
 def test_text_artifact_is_what_was_printed(tmp_path, capsys, argv, command, params):
     paths = {"raw": tmp_path / "raw.bits", "artifact": tmp_path / "out.txt"}
@@ -247,6 +238,21 @@ def test_help_exits_zero_without_a_traceback(capsys, command):
     out, err = capsys.readouterr()
     assert out.startswith(f"usage: eccrng {command} ")
     assert "Traceback" not in out + err
+
+
+def test_only_the_capture_chain_declares_a_file_flag(capsys):
+    # every file eccrng writes is a link that replays: a generate -> postprocess -> test chain
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    commands = re.search(r"\{(\w+(?:,\w+)+)\}", capsys.readouterr().out)[1].split(",")
+    writers = set()
+    for command in commands:
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        if re.search(r"--output|--report", capsys.readouterr().out):
+            writers.add(command)
+    assert {"calibrate", "speed", "bench"} <= set(commands)
+    assert writers == {"generate", "postprocess", "test"}
 
 
 def test_calibrate_flags_repeat_the_library_defaults(capsys):
@@ -280,7 +286,9 @@ def test_bench_names_its_source_as_generate_does(tmp_path, capsys, flags):
 
 
 # flags a command no longer declares
-REMOVED_FLAGS = {"bench": {"--source"}, "calibrate": {"--empirical", "--batch-bits", "--seed"}}
+REMOVED_FLAGS = {"bench": {"--source", "--output"},
+                 "calibrate": {"--empirical", "--batch-bits", "--seed", "--output"},
+                 "speed": {"--output"}}
 
 # the whole stderr of some bad-argv cases, by argv as written in the list below
 BAD_ARGV_ERRORS = {
@@ -304,6 +312,27 @@ BAD_ARGV_ERRORS = {
         "error: --seed must be a non-negative integer, got -1\n",
     "generate --bernoulli 0.5 --bits 10 --seed x --output {out}":
         "error: eccrng generate: argument --seed: invalid int value: 'x'\n",
+    "calibrate --target 0.5 --output {out}":
+        "error: eccrng: unrecognized arguments: --output {out}\n",
+    "speed --read-ns 3 --output {out}":
+        "error: eccrng: unrecognized arguments: --output {out}\n",
+    "bench --bits 100 --seed 2 --output {out}":
+        "error: eccrng: unrecognized arguments: --output {out}\n",
+    "speed --clocks-per-bit 1" + "0" * 400:
+        "error: --read-ns 10.0 at --clocks-per-bit 1" + "0" * 400
+        + " gives a rate of 0 MHz; it must be finite and positive\n",
+    "speed --read-ns 1e-320":
+        "error: --read-ns 1e-320 at --clocks-per-bit 4 gives a rate of inf MHz;"
+        " it must be finite and positive\n",
+    "speed --read-ns 1e308 --clocks-per-bit 10":
+        "error: --read-ns 1e+308 at --clocks-per-bit 10 gives a rate of 0 MHz;"
+        " it must be finite and positive\n",
+    "generate --bernoulli 0.5 --bits 1" + "0" * 37 + " --output {out}":
+        f"error: length must be at most {sys.maxsize}, got 1" + "0" * 37 + "\n",
+    "generate --markov 0.5,0.1 --bits 1" + "0" * 37 + " --output {out}":
+        f"error: length must be at most {sys.maxsize}, got 1" + "0" * 37 + "\n",
+    "bench --bits 1" + "0" * 37:
+        f"error: length must be at most {sys.maxsize}, got 1" + "0" * 37 + "\n",
 }
 
 
@@ -385,6 +414,18 @@ BAD_ARGV_ERRORS = {
         (["bench", "--bits", "100", "--ecc", "7,4,1", "--lfsr-seed", "5",
           "--injection", "output-xor"], 1),
         (["bench", "--bits", "100", "--rejection", "--injection", "output-xor"], 1),
+        # only the capture chain writes files: these three commands print
+        (["calibrate", "--target", "0.5", "--output", "{out}"], 1),
+        (["speed", "--read-ns", "3", "--output", "{out}"], 1),
+        (["bench", "--bits", "100", "--seed", "2", "--output", "{out}"], 1),
+        # a rate that is not finite and positive, from inputs that each pass their check
+        (["speed", "--clocks-per-bit", "1" + "0" * 400], 1),
+        (["speed", "--read-ns", "1e-320"], 1),
+        (["speed", "--read-ns", "1e308", "--clocks-per-bit", "10"], 1),
+        # a length no array can index is refused before anything is allocated
+        (["generate", "--bernoulli", "0.5", "--bits", "1" + "0" * 37, "--output", "{out}"], 1),
+        (["generate", "--markov", "0.5,0.1", "--bits", "1" + "0" * 37, "--output", "{out}"], 1),
+        (["bench", "--bits", "1" + "0" * 37], 1),
     ],
 )
 def test_bad_argv_is_an_error_not_a_traceback(tmp_path, capsys, argv, code):
@@ -405,7 +446,7 @@ def test_bad_argv_is_an_error_not_a_traceback(tmp_path, capsys, argv, code):
     # every case but a removed flag is refused by the CLI's own rules, not by argparse
     removed = REMOVED_FLAGS.get(argv[0], set()) & set(argv)
     assert ("unrecognized arguments" in err) == bool(removed)
-    assert err == BAD_ARGV_ERRORS.get(" ".join(argv), err)
+    assert err == BAD_ARGV_ERRORS.get(" ".join(argv), err).format(**paths)
 
 
 def test_input_digest_and_bit_count_follow_the_file(tmp_path):
@@ -458,21 +499,42 @@ def test_bit_order_lsb_reads_packed_input(tmp_path, capsys):
 
 
 def test_manifest_replay_reproduces_bytes(tmp_path, monkeypatch):
-    # the manifest stores the argv as typed, with --seed or without it (seed 0)
-    for name, seed_args in (("flag", ["--seed", "5"]), ("default", [])):
+    # each chain runs on relative paths in one directory, and is replayed step by step
+    # from its stored argvs in a fresh one; the manifest stores the argv as typed
+    chains = {
+        "flag": [["generate", "--preset", "data-c", "--bits", "30000", "--seed", "5",
+                  "--output", "cap.bits"]],
+        "default": [["generate", "--preset", "data-c", "--bits", "30000",
+                     "--output", "cap.bits"]],
+        "chain": [["generate", "--markov", "0.4,0.1", "--bits", "30000", "--seed", "3",
+                   "--output", "cap.bits"],
+                  ["postprocess", "cap.bits", "--lfsr", "3,1,0", "--ecc", "31,16,3",
+                   "--output", "clean.bits"],
+                  ["test", "clean.bits", "--allow-short"]],
+    }
+    for name, steps in chains.items():
         first = tmp_path / name / "one"
         second = tmp_path / name / "two"
         first.mkdir(parents=True)
         second.mkdir()
         monkeypatch.chdir(first)
-        typed = ["generate", "--preset", "data-c", "--bits", "30000", *seed_args,
-                 "--output", "cap.bits"]
-        assert run(*typed) == 0
-        argv = json.loads((first / "cap.bits.manifest.json").read_text())["argv"]
-        assert argv == typed
+        recorded = []  # (exit code, manifest) of each step, in order
+        for typed in steps:
+            before = set(first.glob("*.manifest.json"))
+            code = run(*typed)
+            (new,) = set(first.glob("*.manifest.json")) - before
+            recorded.append((code, json.loads(new.read_text())))
+            assert recorded[-1][1]["argv"] == typed
         monkeypatch.chdir(second)
-        assert run(*argv) == 0
-        assert (first / "cap.bits").read_bytes() == (second / "cap.bits").read_bytes()
+        produced = {}
+        for code, manifest in recorded:
+            assert run(*manifest["argv"]) == code
+            output = manifest["output_path"]
+            digest = hashlib.sha256((second / output).read_bytes()).hexdigest()
+            assert digest == manifest["output_sha256"], (name, output)
+            if manifest["input_path"] is not None:
+                assert manifest["input_sha256"] == produced[manifest["input_path"]], (name, output)
+            produced[output] = digest
 
 
 def test_ascii_encoding_flows_through(tmp_path):

@@ -1,6 +1,7 @@
 """Entropy-source simulation: Bernoulli, Markov, switching-curve model."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -285,6 +286,16 @@ def test_source_config_rejects_a_negative_length():
                          ("mtj", {"model": model, "current_ua": 100.0})):
         with pytest.raises(ValueError, match="length"):
             SourceConfig(kind, 0, -1, **fields)
+
+
+def test_source_config_rejects_a_length_no_array_can_hold():
+    # judged before any allocation, so the largest index itself is accepted
+    model = load_switching_models()[30.0]
+    for kind, fields in (("bernoulli", {"p": 0.5}), ("markov", {"p": 0.5, "rho": 0.1}),
+                         ("mtj", {"model": model, "current_ua": 100.0})):
+        assert SourceConfig(kind, 0, sys.maxsize, **fields).length == sys.maxsize
+        with pytest.raises(ValueError, match=f"length must be at most {sys.maxsize}, got"):
+            SourceConfig(kind, 0, sys.maxsize + 1, **fields)
 
 
 def test_source_config_accepts_what_its_generator_runs():
