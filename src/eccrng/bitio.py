@@ -142,12 +142,6 @@ def read_bit_file(path: str, encoding: str = PACKED, bit_count: int | None = Non
         return decode_bits(fh.read(), encoding, bit_count)
 
 
-def sniff_encoding(payload: bytes) -> str:
-    """Best-effort guess: a payload whose first 4096 bytes are 0/1/whitespace is ascii."""
-    head = np.frombuffer(payload[:4096], dtype=np.uint8)
-    return ASCII if head.size and _ASCII_BYTE[head].all() else PACKED
-
-
 def sha256_hex(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
 

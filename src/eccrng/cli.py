@@ -4,8 +4,8 @@ Subcommands: generate (simulated captures), postprocess (whitening
 pipelines), test (statistical battery), calibrate (operating current),
 speed (array read-rate estimate), bench (throughput measurement).
 
-Exit codes: 0 success (and battery Pass), 1 usage error, 2 I/O error,
-3 battery Fail.
+Exit codes: 0 success (and battery Pass), 1 usage error or out of memory,
+2 I/O error, 3 battery Fail.
 """
 
 from __future__ import annotations
@@ -54,11 +54,11 @@ SPEED_REFERENCES = (
 
 
 class UsageError(Exception):
-    pass
+    exit_code = 1
 
 
 class CliIoError(Exception):
-    pass
+    exit_code = 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,6 +120,8 @@ def _read_input(args) -> tuple[np.ndarray, str, str]:
 
     The file is read once; the digest is what the sidecar is checked
     against and what the manifest of the result records as input_sha256.
+    The encoding is never guessed: auto takes the one the sidecar names, and
+    a file without a sidecar that names packed or ascii is a usage error.
     """
     path, encoding, bit_count = args.input, args.input_encoding, args.bits
     if bit_count is not None and bit_count < 0:
@@ -138,10 +140,10 @@ def _read_input(args) -> tuple[np.ndarray, str, str]:
                 f"{path} does not match the output_sha256 of {bitio.manifest_path_for(path)}"
             )
     if encoding == "auto":
-        if manifest is not None and manifest.encoding in (bitio.PACKED, bitio.ASCII):
-            encoding = manifest.encoding
-        else:
-            encoding = bitio.sniff_encoding(payload)
+        if manifest is None or manifest.encoding not in (bitio.PACKED, bitio.ASCII):
+            raise UsageError(f"no sidecar names the encoding of {path}; "
+                             "pass --input-encoding packed or ascii")
+        encoding = manifest.encoding
     if args.bit_order is not None and encoding == bitio.ASCII:
         raise UsageError(f"--bit-order applies to packed input only, and {path} is read as ascii")
     if bit_count is None and manifest is not None and manifest.encoding == encoding:
@@ -156,11 +158,6 @@ def _read_input(args) -> tuple[np.ndarray, str, str]:
 def _write_artifact(path, payload: bytes, argv, command, params, *,
                     bit_count=0, encoding="text", input_info=None) -> None:
     """Write payload to path and its manifest next to it."""
-    try:
-        with open(path, "wb") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        raise CliIoError(f"cannot write {path}: {exc.strerror or exc}") from None
     manifest = bitio.RunManifest(
         command=command,
         argv=list(argv),
@@ -173,7 +170,14 @@ def _write_artifact(path, payload: bytes, argv, command, params, *,
         input_sha256=input_info[1] if input_info else None,
         tool_version=__version__,
     )
-    bitio.write_manifest(manifest)
+    target = path  # the file an OSError is about
+    try:
+        with open(path, "wb") as fh:
+            fh.write(payload)
+        target = bitio.manifest_path_for(path)
+        bitio.write_manifest(manifest)
+    except OSError as exc:
+        raise CliIoError(f"cannot write {target}: {exc.strerror or exc}") from None
 
 
 def _resolve_source(args) -> tuple[SourceConfig, dict]:
@@ -501,12 +505,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args, argv)
-    except UsageError as exc:
+    except (UsageError, CliIoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
-    except CliIoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

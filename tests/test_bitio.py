@@ -19,7 +19,6 @@ from eccrng.bitio import (
     manifest_for_file,
     manifest_path_for,
     read_bit_file,
-    sniff_encoding,
     write_bit_file,
     write_manifest,
 )
@@ -196,20 +195,6 @@ def test_ascii_decode_and_encode_stay_within_a_few_bytes_per_bit():
     payload = encode_bits(bits, ASCII)
     assert _traced_peak(decode_bits, payload, ASCII) <= 4 * n
     assert _traced_peak(encode_bits, bits, ASCII) <= 3 * n
-
-
-def test_sniff_encoding():
-    assert sniff_encoding(b"0101\n0011\n") == ASCII
-    assert sniff_encoding(b"\x9c\x22\x01") == PACKED
-    assert sniff_encoding(b"") == PACKED
-    # every byte the ascii decoder skips as whitespace, and nothing more
-    for space in b" \t\n\v\f\r\x1c\x1d\x1e\x1f":
-        payload = b"01" + bytes([space]) + b"10"
-        assert sniff_encoding(payload) == ASCII
-        assert decode_bits(payload, ASCII).tolist() == [0, 1, 1, 0]
-    for other in b"\x00\x08\x0e\x1b\x7f2a":
-        assert sniff_encoding(b"01" + bytes([other]) + b"10") == PACKED
-    assert sniff_encoding(b"01\x8510") == PACKED  # str.isspace, but not ascii
 
 
 def test_manifest_round_trip(tmp_path):

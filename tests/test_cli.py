@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eccrng import cli
 from eccrng.bitio import load_manifest, manifest_path_for, read_bit_file
 from eccrng.cli import build_parser, main
 from eccrng.source import calibrate_current
@@ -134,6 +135,31 @@ def test_unwritable_output_is_io_error(tmp_path):
         "--output", str(raw))
     assert run("postprocess", str(raw), "--rejection",
                "--output", str(tmp_path / "no" / "dir" / "o.bits")) == 2
+
+
+@pytest.mark.parametrize("argv, sidecar", [
+    (["generate", "--bernoulli", "0.5", "--bits", "100", "--output", "o.bin"],
+     "o.bin.manifest.json"),
+    (["test", "a.txt", "--allow-short"], "a.txt.report.manifest.json"),
+], ids=["generate", "test"])
+def test_unwritable_sidecar_is_io_error(tmp_path, capsys, monkeypatch, argv, sidecar):
+    monkeypatch.chdir(tmp_path)
+    assert run("generate", "--bernoulli", "0.5", "--bits", "2000", "--seed", "4",
+               "--encoding", "ascii", "--output", "a.txt") == 0
+    Path(sidecar).mkdir()
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"error: cannot write {sidecar}: Is a directory\n"
+
+
+def test_out_of_memory_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch):
+    def generate_stream(cfg):
+        raise MemoryError(f"Unable to allocate {cfg.length} bits")
+
+    monkeypatch.setattr(cli, "generate_stream", generate_stream)
+    assert run("generate", "--bernoulli", "0.5", "--bits", "100",
+               "--output", str(tmp_path / "o.bin")) == 1
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 100 bits\n"
 
 
 def test_battery_command_exit_codes(tmp_path, capsys):
@@ -333,110 +359,138 @@ BAD_ARGV_ERRORS = {
         f"error: length must be at most {sys.maxsize}, got 1" + "0" * 37 + "\n",
     "bench --bits 1" + "0" * 37:
         f"error: length must be at most {sys.maxsize}, got 1" + "0" * 37 + "\n",
+    "postprocess {bom} --ecc 7,4,1 --output {out}":
+        "error: no sidecar names the encoding of {bom}; pass --input-encoding packed or ascii\n",
+    "postprocess {report} --ecc 7,4,1 --output {out}":
+        "error: no sidecar names the encoding of {report};"
+        " pass --input-encoding packed or ascii\n",
 }
 
 
-@pytest.mark.parametrize(
-    "argv, code",
-    [
-        (["bench", "--bits", "100", "--markov", "0.9,-0.5"], 1),
-        (["bench", "--bits", "100", "--bernoulli", "2"], 1),
-        (["bench", "--bits", "100", "--lfsr-seed", "99"], 1),
-        (["bench", "--bits", "100", "--lfsr", "3,1,0", "--lfsr-seed", "99"], 1),
-        (["postprocess", "{ascii}", "--lfsr", "3,1,0", "--lfsr-seed", "99",
-          "--output", "{out}"], 1),
-        (["postprocess", "{ascii}", "--rejection", "--bits", "-1", "--output", "{out}"], 1),
-        (["postprocess", "{ascii}", "--rejection", "--input-encoding", "ascii",
-          "--bits", "2001", "--output", "{out}"], 2),
-        (["postprocess", "{ascii}", "--rejection", "--bits", "2001", "--output", "{out}"], 2),
-        (["test", "{ascii}", "--allow-short", "--bits", "5000"], 2),
-        (["postprocess", "{packed}", "--rejection", "--input-encoding", "ascii",
-          "--output", "{out}"], 2),
-        (["generate", "--bernoulli", "0.5", "--bits", "10", "--seed", "-1",
-          "--output", "{out}"], 1),
-        (["bench", "--bits", "1000", "--seed", "-1"], 1),
-        (["generate", "--bernoulli", "0.5", "--bits", "10", "--seed", "x",
-          "--output", "{out}"], 1),
-        (["calibrate", "--empirical", "--seed", "-2"], 1),
-        (["speed", "--read-ns", "nan"], 1),
-        (["speed", "--read-ns", "inf"], 1),
-        (["generate", "--current", "nan", "--bits", "10", "--output", "{out}"], 1),
-        (["generate", "--current", "inf", "--bits", "10", "--output", "{out}"], 1),
-        (["generate", "--preset", "data-b", "--model-config", "{far}", "--bits", "100",
-          "--output", "{out}"], 1),
-        (["bench", "--bits", "100", "--preset", "data-b", "--model-config", "{far}"], 1),
-        (["generate", "--current", "100", "--model-config", "{nan}", "--bits", "10",
-          "--output", "{out}"], 2),
-        (["calibrate", "--target", "0.276", "--tol", "inf"], 1),
-        (["calibrate", "--empirical", "--tol", "inf"], 1),
-        (["calibrate", "--tol", "nan"], 1),
-        # a bit order has no meaning for ascii input, sniffed or named
-        (["test", "{ascii}", "--allow-short", "--bit-order", "lsb"], 1),
-        (["postprocess", "{ascii}", "--rejection", "--bit-order", "lsb", "--output", "{out}"], 1),
-        (["postprocess", "{ascii}", "--rejection", "--input-encoding", "ascii",
-          "--bit-order", "msb", "--output", "{out}"], 1),
-        # values the CLI only parses, and SourceConfig or run_battery refuses
-        (["generate", "--bernoulli", "nan", "--bits", "10", "--output", "{out}"], 1),
-        (["generate", "--markov", "1.5,0.1", "--bits", "10", "--output", "{out}"], 1),
-        (["generate", "--markov", "0.5,x", "--bits", "10", "--output", "{out}"], 1),
-        (["generate", "--preset", "nope", "--bits", "10", "--output", "{out}"], 1),
-        # a source flag may be given once, even the same one
-        (["generate", "--preset", "data-a", "--preset", "data-b", "--bits", "10",
-          "--output", "{out}"], 1),
-        (["test", "{ascii}", "--allow-short", "--fail-threshold", "-1"], 1),
-        (["test", "{ascii}", "--allow-short", "--alpha", "0"], 1),
-        # a source flag that the chosen source does not read is refused, not ignored
-        (["generate", "--bernoulli", "0.5", "--t-write", "10", "--bits", "10",
-          "--output", "{out}"], 1),
-        (["generate", "--markov", "0.4,0.1", "--t-write", "10", "--bits", "10",
-          "--output", "{out}"], 1),
-        (["generate", "--preset", "data-b", "--t-write", "10", "--bits", "10",
-          "--output", "{out}"], 1),
-        (["generate", "--bernoulli", "0.5", "--model-config", "{far}", "--bits", "10",
-          "--output", "{out}"], 1),
-        (["generate", "--markov", "0.4,0.1", "--model-config", "{far}", "--bits", "10",
-          "--output", "{out}"], 1),
-        (["bench", "--bits", "100", "--bernoulli", "0.5", "--model-config", "{far}"], 1),
-        (["bench", "--bits", "100", "--markov", "0.4,0.1", "--model-config", "{far}"], 1),
-        (["bench", "--bits", "100", "--model-config", "{far}"], 1),  # the default bernoulli
-        # bench names its source with generate's flags; --source is gone
-        (["bench", "--bits", "100", "--source", "data-b"], 1),
-        # bench's messages name only the source flags bench declares
-        (["bench", "--bits", "1000", "--bernoulli", "0.5", "--markov", "0.4,0.1"], 1),
-        (["bench", "--bits", "1000", "--bernoulli", "0.5", "--model-config", "x"], 1),
-        (["generate", "--bernoulli", "0.5", "--markov", "0.4,0.1", "--bits", "10",
-          "--output", "{out}"], 1),
-        # the register's options are refused when no --lfsr stage reads them
-        (["postprocess", "{ascii}", "--ecc", "7,4,1", "--lfsr-seed", "5",
-          "--injection", "output-xor", "--output", "{out}"], 1),
-        (["postprocess", "{ascii}", "--rejection", "--injection", "feedback",
-          "--output", "{out}"], 1),
-        (["bench", "--bits", "100", "--ecc", "7,4,1", "--lfsr-seed", "5",
-          "--injection", "output-xor"], 1),
-        (["bench", "--bits", "100", "--rejection", "--injection", "output-xor"], 1),
-        # only the capture chain writes files: these three commands print
-        (["calibrate", "--target", "0.5", "--output", "{out}"], 1),
-        (["speed", "--read-ns", "3", "--output", "{out}"], 1),
-        (["bench", "--bits", "100", "--seed", "2", "--output", "{out}"], 1),
-        # a rate that is not finite and positive, from inputs that each pass their check
-        (["speed", "--clocks-per-bit", "1" + "0" * 400], 1),
-        (["speed", "--read-ns", "1e-320"], 1),
-        (["speed", "--read-ns", "1e308", "--clocks-per-bit", "10"], 1),
-        # a length no array can index is refused before anything is allocated
-        (["generate", "--bernoulli", "0.5", "--bits", "1" + "0" * 37, "--output", "{out}"], 1),
-        (["generate", "--markov", "0.5,0.1", "--bits", "1" + "0" * 37, "--output", "{out}"], 1),
-        (["bench", "--bits", "1" + "0" * 37], 1),
-    ],
-)
-def test_bad_argv_is_an_error_not_a_traceback(tmp_path, capsys, argv, code):
-    paths = {"ascii": tmp_path / "a.txt", "packed": tmp_path / "p.bits", "out": tmp_path / "o",
-             "far": tmp_path / "far.cfg", "nan": tmp_path / "nan.cfg"}
+def bad_argv_inputs(directory):
+    """Write the files the bad-argv cases name into directory; their paths, by placeholder."""
+    paths = {name: directory / file for name, file in (
+        ("ascii", "a.txt"), ("packed", "p.bits"), ("out", "o"), ("far", "far.cfg"),
+        ("nan", "nan.cfg"), ("bom", "bom.txt"), ("comma", "comma.txt"), ("one", "one.bits"))}
     # a curve no float current resolves, and a non-finite midpoint
     paths["far"].write_text("t30.i50_ua = 1e20\nt30.slope_scale_ua = 1e-3\n")
     paths["nan"].write_text("t30.i50_ua = nan\nt30.slope_scale_ua = 5\n")
     assert run("generate", "--bernoulli", "0.5", "--bits", "2000", "--seed", "4",
                "--encoding", "ascii", "--output", str(paths["ascii"])) == 0
+    # its battery report, whose sidecar names the encoding "text"
+    assert run("test", str(paths["ascii"]), "--allow-short") == 0
+    paths["report"] = Path(f"{paths['ascii']}.report")
+    # files with no sidecar: a packed one, ascii digits behind a UTF-8 BOM or with a
+    # stray comma, and the one byte b"1"
     paths["packed"].write_bytes(b"\x9c\x22\x01")
+    digits = paths["ascii"].read_bytes().replace(b"\n", b"")
+    paths["bom"].write_bytes(b"\xef\xbb\xbf" + digits + b"\n")
+    paths["comma"].write_bytes(digits[:1000] + b"," + digits[1000:] + b"\n")
+    paths["one"].write_bytes(b"1")
+    return paths
+
+
+BAD_ARGVS = [
+    (["bench", "--bits", "100", "--markov", "0.9,-0.5"], 1),
+    (["bench", "--bits", "100", "--bernoulli", "2"], 1),
+    (["bench", "--bits", "100", "--lfsr-seed", "99"], 1),
+    (["bench", "--bits", "100", "--lfsr", "3,1,0", "--lfsr-seed", "99"], 1),
+    (["postprocess", "{ascii}", "--lfsr", "3,1,0", "--lfsr-seed", "99",
+      "--output", "{out}"], 1),
+    (["postprocess", "{ascii}", "--rejection", "--bits", "-1", "--output", "{out}"], 1),
+    (["postprocess", "{ascii}", "--rejection", "--input-encoding", "ascii",
+      "--bits", "2001", "--output", "{out}"], 2),
+    (["postprocess", "{ascii}", "--rejection", "--bits", "2001", "--output", "{out}"], 2),
+    (["test", "{ascii}", "--allow-short", "--bits", "5000"], 2),
+    (["postprocess", "{packed}", "--rejection", "--input-encoding", "ascii",
+      "--output", "{out}"], 2),
+    (["generate", "--bernoulli", "0.5", "--bits", "10", "--seed", "-1",
+      "--output", "{out}"], 1),
+    (["bench", "--bits", "1000", "--seed", "-1"], 1),
+    (["generate", "--bernoulli", "0.5", "--bits", "10", "--seed", "x",
+      "--output", "{out}"], 1),
+    (["calibrate", "--empirical", "--seed", "-2"], 1),
+    (["speed", "--read-ns", "nan"], 1),
+    (["speed", "--read-ns", "inf"], 1),
+    (["generate", "--current", "nan", "--bits", "10", "--output", "{out}"], 1),
+    (["generate", "--current", "inf", "--bits", "10", "--output", "{out}"], 1),
+    (["generate", "--preset", "data-b", "--model-config", "{far}", "--bits", "100",
+      "--output", "{out}"], 1),
+    (["bench", "--bits", "100", "--preset", "data-b", "--model-config", "{far}"], 1),
+    (["generate", "--current", "100", "--model-config", "{nan}", "--bits", "10",
+      "--output", "{out}"], 2),
+    (["calibrate", "--target", "0.276", "--tol", "inf"], 1),
+    (["calibrate", "--empirical", "--tol", "inf"], 1),
+    (["calibrate", "--tol", "nan"], 1),
+    # a bit order has no meaning for ascii input, named by the sidecar or by the flag
+    (["test", "{ascii}", "--allow-short", "--bit-order", "lsb"], 1),
+    (["postprocess", "{ascii}", "--rejection", "--bit-order", "lsb", "--output", "{out}"], 1),
+    (["postprocess", "{ascii}", "--rejection", "--input-encoding", "ascii",
+      "--bit-order", "msb", "--output", "{out}"], 1),
+    # values the CLI only parses, and SourceConfig or run_battery refuses
+    (["generate", "--bernoulli", "nan", "--bits", "10", "--output", "{out}"], 1),
+    (["generate", "--markov", "1.5,0.1", "--bits", "10", "--output", "{out}"], 1),
+    (["generate", "--markov", "0.5,x", "--bits", "10", "--output", "{out}"], 1),
+    (["generate", "--preset", "nope", "--bits", "10", "--output", "{out}"], 1),
+    # a source flag may be given once, even the same one
+    (["generate", "--preset", "data-a", "--preset", "data-b", "--bits", "10",
+      "--output", "{out}"], 1),
+    (["test", "{ascii}", "--allow-short", "--fail-threshold", "-1"], 1),
+    (["test", "{ascii}", "--allow-short", "--alpha", "0"], 1),
+    # a source flag that the chosen source does not read is refused, not ignored
+    (["generate", "--bernoulli", "0.5", "--t-write", "10", "--bits", "10",
+      "--output", "{out}"], 1),
+    (["generate", "--markov", "0.4,0.1", "--t-write", "10", "--bits", "10",
+      "--output", "{out}"], 1),
+    (["generate", "--preset", "data-b", "--t-write", "10", "--bits", "10",
+      "--output", "{out}"], 1),
+    (["generate", "--bernoulli", "0.5", "--model-config", "{far}", "--bits", "10",
+      "--output", "{out}"], 1),
+    (["generate", "--markov", "0.4,0.1", "--model-config", "{far}", "--bits", "10",
+      "--output", "{out}"], 1),
+    (["bench", "--bits", "100", "--bernoulli", "0.5", "--model-config", "{far}"], 1),
+    (["bench", "--bits", "100", "--markov", "0.4,0.1", "--model-config", "{far}"], 1),
+    (["bench", "--bits", "100", "--model-config", "{far}"], 1),  # the default bernoulli
+    # bench names its source with generate's flags; --source is gone
+    (["bench", "--bits", "100", "--source", "data-b"], 1),
+    # bench's messages name only the source flags bench declares
+    (["bench", "--bits", "1000", "--bernoulli", "0.5", "--markov", "0.4,0.1"], 1),
+    (["bench", "--bits", "1000", "--bernoulli", "0.5", "--model-config", "x"], 1),
+    (["generate", "--bernoulli", "0.5", "--markov", "0.4,0.1", "--bits", "10",
+      "--output", "{out}"], 1),
+    # the register's options are refused when no --lfsr stage reads them
+    (["postprocess", "{ascii}", "--ecc", "7,4,1", "--lfsr-seed", "5",
+      "--injection", "output-xor", "--output", "{out}"], 1),
+    (["postprocess", "{ascii}", "--rejection", "--injection", "feedback",
+      "--output", "{out}"], 1),
+    (["bench", "--bits", "100", "--ecc", "7,4,1", "--lfsr-seed", "5",
+      "--injection", "output-xor"], 1),
+    (["bench", "--bits", "100", "--rejection", "--injection", "output-xor"], 1),
+    # only the capture chain writes files: these three commands print
+    (["calibrate", "--target", "0.5", "--output", "{out}"], 1),
+    (["speed", "--read-ns", "3", "--output", "{out}"], 1),
+    (["bench", "--bits", "100", "--seed", "2", "--output", "{out}"], 1),
+    # a rate that is not finite and positive, from inputs that each pass their check
+    (["speed", "--clocks-per-bit", "1" + "0" * 400], 1),
+    (["speed", "--read-ns", "1e-320"], 1),
+    (["speed", "--read-ns", "1e308", "--clocks-per-bit", "10"], 1),
+    # a length no array can index is refused before anything is allocated
+    (["generate", "--bernoulli", "0.5", "--bits", "1" + "0" * 37, "--output", "{out}"], 1),
+    (["generate", "--markov", "0.5,0.1", "--bits", "1" + "0" * 37, "--output", "{out}"], 1),
+    (["bench", "--bits", "1" + "0" * 37], 1),
+    # without --input-encoding a file is read in the encoding its sidecar names, and
+    # these have no sidecar, or one that names "text"
+    (["test", "{bom}", "--allow-short"], 1),
+    (["postprocess", "{bom}", "--ecc", "7,4,1", "--output", "{out}"], 1),
+    (["postprocess", "{comma}", "--ecc", "7,4,1", "--output", "{out}"], 1),
+    (["postprocess", "{report}", "--ecc", "7,4,1", "--output", "{out}"], 1),
+    (["postprocess", "{one}", "--rejection", "--output", "{out}"], 1),
+]
+
+
+@pytest.mark.parametrize("argv, code", BAD_ARGVS)
+def test_bad_argv_is_an_error_not_a_traceback(tmp_path, capsys, argv, code):
+    paths = bad_argv_inputs(tmp_path)
     capsys.readouterr()
     # an exception escaping main is the traceback the entry point would print
     assert run(*(a.format(**paths) for a in argv)) == code
@@ -487,7 +541,7 @@ def test_bit_order_lsb_reads_packed_input(tmp_path, capsys):
     lsb = tmp_path / "lsb.bits"  # the same bits, packed the other way, with no sidecar
     lsb.write_bytes(np.packbits(np.unpackbits(raw), bitorder="little").tobytes())
     outs = {}
-    for path, order in ((msb, []), (lsb, ["--bit-order", "lsb"])):
+    for path, order in ((msb, []), (lsb, ["--input-encoding", "packed", "--bit-order", "lsb"])):
         outs[path] = tmp_path / f"{path.stem}.out"
         assert run("postprocess", str(path), "--lfsr", "3,1,0", *order,
                    "--output", str(outs[path])) == 0
@@ -544,18 +598,20 @@ def test_ascii_encoding_flows_through(tmp_path):
     text = raw.read_text()
     assert set(text) <= {"0", "1", "\n"}
     out = tmp_path / "b.bits"
-    # encoding is sniffed (and recorded in the manifest) on the way back in
+    # the sidecar names the encoding on the way back in, and the manifest records it
     assert run("postprocess", str(raw), "--lfsr", "2,1,0", "--output", str(out)) == 0
     m = load_manifest(manifest_path_for(str(out)))
     assert m.params["input_encoding"] == "ascii"
     assert m.output_bits == 600
 
 
-def test_ascii_with_form_feeds_is_sniffed_as_ascii(tmp_path):
+def test_ascii_without_a_sidecar_is_read_only_when_named(tmp_path):
     raw = tmp_path / "ff.txt"
     raw.write_bytes(b"".join(b"01" * 32 + b"\f\n" for _ in range(40)))  # no sidecar
     out = tmp_path / "o.bits"
-    assert run("postprocess", str(raw), "--rejection", "--output", str(out)) == 0
+    assert run("postprocess", str(raw), "--rejection", "--output", str(out)) == 1
+    assert run("postprocess", str(raw), "--rejection", "--input-encoding", "ascii",
+               "--output", str(out)) == 0
     m = load_manifest(manifest_path_for(str(out)))
     assert m.params["input_encoding"] == "ascii"
     assert m.params["input_bits"] == 2560
@@ -571,9 +627,12 @@ def test_mistyped_sidecar_is_ignored_not_a_traceback(tmp_path, capsys, field, va
     sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), field: value}))
     out = tmp_path / "o.bits"
     capsys.readouterr()
-    # the damaged sidecar is not consulted: the packed file is read whole
-    assert run("postprocess", str(raw), "--rejection", "--output", str(out)) == 0
+    # a damaged sidecar names no encoding, so the read needs the flag
+    assert run("postprocess", str(raw), "--rejection", "--output", str(out)) == 1
     assert "Traceback" not in capsys.readouterr().err
+    # with it, the damaged sidecar is not consulted: the packed file is read whole
+    assert run("postprocess", str(raw), "--rejection", "--input-encoding", "packed",
+               "--output", str(out)) == 0
     assert load_manifest(manifest_path_for(str(out))).params["input_bits"] == 1008
 
 
