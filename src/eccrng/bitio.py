@@ -6,6 +6,10 @@ true bit count lives in the sidecar manifest.  ascii: '0'/'1' characters,
 ASCII whitespace ignored on read.  Every produced artifact gets a
 "<path>.manifest.json" sidecar carrying the reproduction recipe (argv,
 seeds, digests, bit count).
+
+In memory the GF(2) stages also hold a stream as 64-bit words: bit k of the
+stream is bit k % 64 of word k // 64 (pack_words), so a shift of the stream
+is a word offset plus two shifted XORs (xor_shifted).
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ import numpy as np
 
 __all__ = [
     "as_bit_array",
+    "pack_words",
+    "unpack_words",
+    "xor_shifted",
     "PACKED",
     "ASCII",
     "MSB_FIRST",
@@ -69,6 +76,63 @@ def as_bit_array(bits) -> np.ndarray:
     if a.size and a.max() > 1:
         raise ValueError("bit sequence entries must be 0 or 1")
     return a
+
+
+def pack_words(bits) -> np.ndarray:
+    """A 0/1 uint8 array as uint64 words, bit k in bit k % 64 of word k // 64;
+    the bits past the last one are zero."""
+    words = np.zeros(-(-bits.size // 64), dtype="<u8")
+    words.view(np.uint8)[: -(-bits.size // 8)] = np.packbits(bits, bitorder="little")
+    return words
+
+
+_UNPACK_CHUNK = 1 << 16  # bits unpack_words writes into out at a time
+
+
+def unpack_words(words: np.ndarray, count: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The first count bits of pack_words' layout, as a 0/1 uint8 array.
+
+    Given out, a uint8 array of count entries, the bits are written into it
+    a chunk at a time and out is returned; no second array of count bytes
+    is made.
+    """
+    if out is None:
+        return np.unpackbits(words.view(np.uint8), count=count, bitorder="little")
+    for i in range(0, count, _UNPACK_CHUNK):
+        part = out[i : i + _UNPACK_CHUNK]
+        part[:] = unpack_words(words[i // 64 : -(-(i + part.size) // 64)], part.size)
+    return out
+
+
+def xor_shifted(dst: np.ndarray, src: np.ndarray, shift: int, buffer: np.ndarray) -> None:
+    """dst ^= src moved shift bits later in the stream (earlier when shift < 0).
+
+    dst and src are equal-length arrays in pack_words' layout; bits moved
+    past either end are dropped.  buffer, at least as long, is overwritten,
+    which spares each call two temporaries.  With |shift| = 64 q + r, the
+    words pair up q apart, and r bits of each word cross into the neighbour
+    of its partner.
+    """
+    q, r = divmod(abs(shift), 64)
+    m = src.size - q
+    if m <= 0:
+        return
+    to, frm = (dst[q:], src[:m]) if shift > 0 else (dst[:m], src[q:])
+    if r == 0:
+        to ^= frm
+        return
+    r = np.uint64(r)
+    t = buffer[:m]
+    if shift > 0:  # the top r bits of a word cross into the next one
+        np.left_shift(frm, r, out=t)
+        to ^= t
+        np.right_shift(frm[:-1], 64 - r, out=t[1:])
+        to[1:] ^= t[1:]
+    else:  # the bottom r bits of a word cross into the one before
+        np.right_shift(frm, r, out=t)
+        to ^= t
+        np.left_shift(frm[1:], 64 - r, out=t[:-1])
+        to[:-1] ^= t[:-1]
 
 
 def encode_bits(bits, encoding: str = PACKED) -> bytes:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 
@@ -122,6 +123,8 @@ def _read_input(args) -> tuple[np.ndarray, str, str]:
     against and what the manifest of the result records as input_sha256.
     The encoding is never guessed: auto takes the one the sidecar names, and
     a file without a sidecar that names packed or ascii is a usage error.
+    A sidecar read for the encoding being read also bounds --bits: a count
+    past its output_bits is an I/O error, as on any file too short.
     """
     path, encoding, bit_count = args.input, args.input_encoding, args.bits
     if bit_count is not None and bit_count < 0:
@@ -146,8 +149,13 @@ def _read_input(args) -> tuple[np.ndarray, str, str]:
         encoding = manifest.encoding
     if args.bit_order is not None and encoding == bitio.ASCII:
         raise UsageError(f"--bit-order applies to packed input only, and {path} is read as ascii")
-    if bit_count is None and manifest is not None and manifest.encoding == encoding:
-        bit_count = manifest.output_bits
+    if manifest is not None and manifest.encoding == encoding:
+        # the sidecar's count is the file's length; past it lies only padding
+        if bit_count is None:
+            bit_count = manifest.output_bits
+        elif bit_count > manifest.output_bits:
+            raise CliIoError(f"cannot read {path}: bit count {bit_count} outside the "
+                             f"0..{manifest.output_bits} bits in the file")
     try:
         bits = bitio.decode_bits(payload, encoding, bit_count, args.bit_order or bitio.MSB_FIRST)
     except ValueError as exc:
@@ -157,7 +165,8 @@ def _read_input(args) -> tuple[np.ndarray, str, str]:
 
 def _write_artifact(path, payload: bytes, argv, command, params, *,
                     bit_count=0, encoding="text", input_info=None) -> None:
-    """Write payload to path and its manifest next to it."""
+    """Write payload to path and its manifest next to it; when the manifest
+    cannot be written, path is removed again."""
     manifest = bitio.RunManifest(
         command=command,
         argv=list(argv),
@@ -170,14 +179,22 @@ def _write_artifact(path, payload: bytes, argv, command, params, *,
         input_sha256=input_info[1] if input_info else None,
         tool_version=__version__,
     )
-    target = path  # the file an OSError is about
     try:
         with open(path, "wb") as fh:
             fh.write(payload)
-        target = bitio.manifest_path_for(path)
+    except OSError as exc:
+        raise CliIoError(f"cannot write {path}: {exc.strerror or exc}") from None
+    try:
         bitio.write_manifest(manifest)
     except OSError as exc:
-        raise CliIoError(f"cannot write {target}: {exc.strerror or exc}") from None
+        # a file that no manifest describes is not left behind
+        try:
+            os.remove(path)
+        except OSError:
+            pass  # the manifest's error is the one to report
+        raise CliIoError(
+            f"cannot write {bitio.manifest_path_for(path)}: {exc.strerror or exc}"
+        ) from None
 
 
 def _resolve_source(args) -> tuple[SourceConfig, dict]:

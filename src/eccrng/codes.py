@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitio import as_bit_array
+from .bitio import as_bit_array, pack_words, unpack_words, xor_shifted
 
 __all__ = [
     "BchCode",
@@ -125,23 +125,42 @@ def _band_offsets(code: BchCode) -> tuple[int, ...]:
     return tuple(d for d in range(deg + 1) if (g >> (deg - d)) & 1)
 
 
+# blocks per unpacked chunk of the compressor's output, at most this many bits
+_CHUNK_BITS = 1 << 16
+
+
 def compress_stream_matrix(code: BchCode, bits) -> np.ndarray:
     """Blockwise matrix compression of a bit stream.
 
     The stream is cut into complete n-bit blocks (a trailing partial block
     is discarded) and each block is multiplied by the banded matrix.  Because
     the band is the generator shifted one column per row, z = G y for all
-    blocks at once is the XOR of the k-column windows of the blocks that
-    start at each of the generator's nonzero coefficients.
+    blocks at once is bit i n + j, j < k, of the XOR of the stream moved
+    earlier by each of the generator's band offsets; those bits stay inside
+    block i.  The stream is held as 64-bit words, bit p in bit p % 64 of
+    word p // 64 (bitio.pack_words), so each offset is a word offset and two
+    XORs of shifted words.  64 blocks are exactly n words, so the words are
+    unpacked in chunks of a multiple of 64 blocks straight into the
+    (blocks, k) output, and no unpacked copy of the whole XOR is made.
     """
     y = as_bit_array(bits)
     n, k = code.n, code.k
     nblocks = y.size // n
-    blocks = y[: nblocks * n].reshape(nblocks, n)
-    z = blocks[:, :k].copy()  # offset 0, the leading coefficient
+    # allocated before the word arrays, as lfsr_whiten's output is
+    out = np.empty((nblocks, k), dtype=np.uint8)
+    words = pack_words(y[: nblocks * n])
+    z = words.copy()  # offset 0, the leading coefficient
+    buffer = np.empty_like(words)
     for d in _band_offsets(code)[1:]:
-        z ^= blocks[:, d : d + k]
-    return z.reshape(-1)
+        xor_shifted(z, words, -d, buffer)
+    del words, buffer
+    step = 64 * max(1, _CHUNK_BITS // (64 * n))
+    for i in range(0, nblocks, step):
+        rows = out[i : i + step]
+        count = rows.shape[0] * n
+        chunk = unpack_words(z[i * n // 64 : -(-(i * n + count) // 64)], count)
+        rows[:] = chunk.reshape(-1, n)[:, :k]
+    return out.reshape(-1)
 
 
 def _int_from_bits(bits: np.ndarray) -> int:

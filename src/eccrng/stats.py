@@ -96,26 +96,68 @@ def _chi2_sf(dof: int, chi2: float) -> float:
     return total
 
 
+_WINDOW_BINS_LOG = 16  # histogram bins per pass of _pattern_counts, as a power of 2
+
+
 def _pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
     """Counts of the 2^m overlapping m-bit patterns (first bit highest) with
-    circular wrap-around, built in the smallest unsigned dtype that holds m
-    bits."""
+    circular wrap-around, for len(b) >= m - 1.
+
+    The c patterns that start at bits 8j + r .. 8j + r + c - 1 make one
+    window of m + c - 1 bits, cut from the 64-bit big-endian word that starts
+    at packed byte j.  c is the largest of 8, 4, 2 and 1 that keeps a window
+    within 2^_WINDOW_BINS_LOG values (1 beyond that), so 8 / c histograms of
+    intp windows, one per r = 0, c, 2c, .., count every pattern that starts
+    in a whole byte, and each of the c pattern offsets is folded out of the
+    sum.  The last n % 8 patterns are counted one by one.
+    """
     n = b.size
-    ext = np.concatenate([b, b[: m - 1]])
-    vals = ext[:n].astype(np.min_scalar_type((1 << m) - 1))
-    for j in range(1, m):
-        vals <<= 1
-        vals |= ext[j : j + n]
-    return np.bincount(vals, minlength=1 << m)
+    c = 8
+    while c > 1 and m + c - 1 > _WINDOW_BINS_LOG:
+        c //= 2
+    width = m + c - 1
+    whole = n // 8
+    # the last n % 8 bits, then the first m - 1 again for the wrap-around
+    tail = np.concatenate([b[8 * whole :], b[: m - 1]])
+    packed = np.zeros(whole + -(-tail.size // 8) + 8, dtype=np.uint8)
+    packed[:whole] = np.packbits(b[: 8 * whole])
+    packed[whole : whole + -(-tail.size // 8)] = np.packbits(tail)
+    words = np.ndarray((whole,), dtype=">u8", buffer=packed, strides=(1,)).astype(np.uint64)
+    windows = np.empty_like(words)
+    hist = np.zeros(1 << width, dtype=np.intp)
+    for r in range(0, 8, c):
+        np.right_shift(words, np.uint64(64 - width - r), out=windows)
+        windows &= np.uint64((1 << width) - 1)
+        hist += np.bincount(windows.view(np.intp), minlength=1 << width)
+    counts = np.zeros(1 << m, dtype=np.intp)
+    for i in range(c):
+        counts += hist.reshape(1 << i, 1 << m, -1).sum(axis=(0, 2))
+    bits = tail.tolist()
+    for start in range(n - 8 * whole):
+        value = 0
+        for bit in bits[start : start + m]:
+            value = 2 * value + bit
+        counts[value] += 1
+    return counts
+
+
+# The +/-1 walk over each byte value, first bit highest: its net step, and
+# its highest and lowest partial sums less that net step.
+_BYTE_WALKS = np.cumsum(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+                        .astype(np.int32) * 2 - 1, axis=1)
+_BYTE_NET = _BYTE_WALKS[:, -1].copy()
+_BYTE_HI = _BYTE_WALKS.max(axis=1) - _BYTE_NET
+_BYTE_LO = _BYTE_WALKS.min(axis=1) - _BYTE_NET
 
 
 class _Bits:
     """A validated bit array and the passes over it that several tests share.
 
     Each pass runs at most once, on first use.  run_battery hands one
-    instance to every test, so serial and approximate entropy share one
-    pattern-count pass and the two cumulative-sums directions share one
-    cumulative sum; a test skipped for a short input starts no pass.
+    instance to every test, so monobit and runs share one count of the ones,
+    serial and approximate entropy one pattern-count pass, and the two
+    cumulative-sums directions one walk; a test skipped for a short input
+    starts no pass.
     """
 
     def __init__(self, bits, pattern_length: int = 0):
@@ -134,19 +176,33 @@ class _Bits:
         return self._counts[self._top - m]
 
     @cached_property
+    def ones(self) -> int:
+        """The number of ones, which monobit and runs both read."""
+        return int(np.count_nonzero(self.b))
+
+    @cached_property
     def walk_extremes(self) -> tuple[int, int]:
         """z of the forward and of the backward cumulative-sums walk.
 
         With S the cumulative sum of 2b - 1 and S_0 = 0, the forward walk
         peaks at max |S_k|; the backward walk's partial sums are S_n - S_j,
-        so it peaks at max over j < n of |S_n - S_j|.
+        so it peaks at max over j < n of |S_n - S_j|.  lo and hi are the
+        extremes of S_0 .. S_(n-1): each packed byte of the first
+        (n - 1) // 8 adds its table entries to S at its end, and the at most
+        7 steps after them are walked one by one.
         """
-        steps = self.b.view(np.int8) * 2 - 1
+        n = self.n
+        full = (n - 1) // 8
+        v = np.packbits(self.b[: 8 * full]).astype(np.intp)
         # every partial sum of a walk shorter than 2^31 steps fits in int32
-        s = np.cumsum(steps, dtype=np.int32 if self.n < 1 << 31 else np.int64)
-        last = int(s[-1])
-        lo = int(s[:-1].min(initial=0))
-        hi = int(s[:-1].max(initial=0))
+        ends = np.cumsum(_BYTE_NET.take(v), dtype=np.int32 if n < 1 << 31 else np.int64)
+        lo = int(np.add(ends, _BYTE_LO.take(v)).min(initial=0))
+        hi = int(np.add(ends, _BYTE_HI.take(v)).max(initial=0))
+        walk = int(ends[-1]) if full else 0
+        for bit in self.b[8 * full : n - 1].tolist():
+            walk += 2 * bit - 1
+            lo, hi = min(lo, walk), max(hi, walk)
+        last = walk + 2 * int(self.b[n - 1]) - 1
         return max(hi, -lo, abs(last)), max(last - lo, hi - last)
 
 
@@ -157,11 +213,11 @@ def _bits(bits, pattern_length: int = 0) -> _Bits:
 
 def monobit_test(bits, alpha: float = DEFAULT_ALPHA, min_length: int = 100) -> TestResult:
     """Overall balance of ones and zeros: P = erfc(|S| / sqrt(2n))."""
-    b = _bits(bits).b
-    n = b.size
+    x = _bits(bits)
+    n = x.n
     if n < max(min_length, 1):
         return _skip("monobit", f"need at least {max(min_length, 1)} bits, got {n}")
-    s = 2 * int(b.sum()) - n
+    s = 2 * x.ones - n
     p = math.erfc(abs(s) / math.sqrt(2.0 * n))
     return _result("monobit", [p], alpha)
 
@@ -183,7 +239,10 @@ def block_frequency_test(
     nblocks = n // block_size
     if nblocks == 0:
         return _skip("block_frequency", f"no complete {block_size}-bit block in {n} bits", params)
-    props = b[: nblocks * block_size].reshape(nblocks, block_size).mean(axis=1)
+    # each block's count of ones, summed in float64, which holds it exactly
+    props = np.einsum("ij->i", b[: nblocks * block_size].reshape(nblocks, block_size),
+                      dtype=np.float64)
+    props /= block_size
     chi2 = 4.0 * block_size * float(((props - 0.5) ** 2).sum())
     p = _chi2_sf(nblocks, chi2)
     return _result("block_frequency", [p], alpha, params)
@@ -195,11 +254,11 @@ def runs_test(bits, alpha: float = DEFAULT_ALPHA, min_length: int = 100) -> Test
     Applicable only when the ones-fraction is within 2/sqrt(n) of 1/2 and
     both bits occur; otherwise the result is a fail with P = 0.
     """
-    b = _bits(bits).b
-    n = b.size
+    x = _bits(bits)
+    b, n = x.b, x.n
     if n < max(min_length, 1):
         return _skip("runs", f"need at least {max(min_length, 1)} bits, got {n}")
-    pi = float(b.mean())
+    pi = x.ones / n
     tau = 2.0 / math.sqrt(n)
     # below 16 bits tau exceeds 1/2, and a constant input must still fail
     if abs(pi - 0.5) >= min(tau, 0.5):
@@ -225,16 +284,26 @@ _LONGEST_RUN_TABLES = (
 
 def _longest_run_classes(blocks: np.ndarray, edges) -> np.ndarray:
     """Blocks per class of the longest run of ones, the run clipped to
-    edges[0] .. edges[-1], which must be consecutive.
+    edges[0] .. edges[-1], which must be consecutive, with edges[-1] <= 64.
 
-    A row holds a run of L ones iff the AND of L shifted copies of it has a
-    one, so y narrows to those ANDs as L grows, up to the last edge.
+    A row holds a run of L ones iff y, the AND of the row moved 0 .. L - 1
+    bits earlier, has a one; y takes one more copy per L, up to the last
+    edge.  Each row is packed into 64-bit words, bit i of the row in bit
+    i % 64 of word i // 64, and zero-padded to whole words, which ends every
+    run; a move by s < 64 takes s bits from the row's next word.
     """
-    ones = blocks.view(bool)
-    y = ones
-    at_least = [blocks.shape[0]]  # blocks in the class of edge L or above
+    nblocks, size = blocks.shape
+    packed = np.zeros((nblocks, -(-size // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-size // 8)] = np.packbits(blocks, axis=1, bitorder="little")
+    ones = packed.view("<u8")
+    y = ones.copy()
+    moved = np.empty_like(ones)
+    at_least = [nblocks]  # blocks in the class of edge L or above
     for length in range(2, edges[-1] + 1):
-        y = y[:, :-1] & ones[:, length - 1 :]
+        s = np.uint64(length - 1)
+        np.right_shift(ones, s, out=moved)
+        moved[:, :-1] |= ones[:, 1:] << (64 - s)
+        y &= moved
         if length > edges[0]:
             at_least.append(np.count_nonzero(y.any(axis=1)))
     at_least.append(0)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitio import as_bit_array
+from .bitio import as_bit_array, pack_words, unpack_words, xor_shifted
 from .codes import BchCode, compress_stream_matrix
 
 __all__ = [
@@ -96,7 +96,10 @@ def lfsr_whiten(spec: LfsrSpec, seed: int, bits, injection: str = FEEDBACK_INJEC
     the cell taps.  w is the input preceded by N pseudo-input bits that
     reproduce the preload.  Since (1 + a)^(2^i) = 1 + a(z^(2^i)), dividing
     by 1 + a is multiplying by the product of 1 + a(z^(2^i)), and each factor
-    is one round of shifted XORs over the whole array.
+    is one round of shifted XORs over the whole stream.  The stream is held
+    as 64-bit words, bit k in bit k % 64 of word k // 64 (bitio.pack_words),
+    so each shift by d is a word offset of d // 64 and two XORs of words
+    shifted by d % 64 (one when d is a multiple of 64).
     """
     _check_injection(injection)
     b = as_bit_array(bits)
@@ -114,27 +117,30 @@ def lfsr_whiten(spec: LfsrSpec, seed: int, bits, injection: str = FEEDBACK_INJEC
         if t < width:
             pseudo[t:] ^= preload[: width - t]
 
-    # u[k] becomes s_(k-N), so output bit t is u[t]; the last N input bits
-    # are loaded but never expelled
-    u = np.zeros(n, dtype=np.uint8)
-    head = min(width, n)
-    u[:head] = pseudo[:head]
+    # allocated before the word arrays, so that the output sits below them in
+    # memory and they leave one free block when they go, not a hole under it
+    out = np.empty(n, dtype=np.uint8)
+    # bit k of u becomes s_(k-N), so output bit t is bit t of u; the last N
+    # input bits are loaded but never expelled
+    words = pack_words(b)
+    buffer = np.empty_like(words)
+    u = np.zeros_like(words)
     if injection == FEEDBACK_INJECTION:
-        u[head:] = b[: n - head]
+        xor_shifted(u, words, width, buffer)
+    head = pack_words(pseudo)[: u.size]
+    u[: head.size] ^= head
     v = np.empty_like(u)
     shift = 1
     while shift * cell_taps[-1] < n:
         # every shift reads the previous round's u, never a partial update
         np.copyto(v, u)
         for t in cell_taps:
-            d = t * shift
-            if d < n:
-                v[d:] ^= u[: n - d]
+            xor_shifted(v, u, t * shift, buffer)
         u, v = v, u
         shift *= 2
     if injection == OUTPUT_XOR_INJECTION:
-        u ^= b
-    return u
+        u ^= words
+    return unpack_words(u, n, out)
 
 
 # Each stage maps a bit array to a bit array with apply(bits) and names

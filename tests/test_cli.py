@@ -129,6 +129,23 @@ def test_input_that_disagrees_with_its_manifest_is_io_error(tmp_path):
     assert load_manifest(manifest_path_for(out)).params["input_bits"] == 8000
 
 
+def test_bits_past_the_sidecar_count_are_an_io_error(tmp_path, capsys):
+    # 1,001 bits pack into 126 bytes, so the payload holds 7 bits of padding
+    raw = tmp_path / "raw.bits"
+    assert run("generate", "--bernoulli", "0.5", "--bits", "1001", "--seed", "1",
+               "--output", str(raw)) == 0
+    out = str(tmp_path / "o.bits")
+    assert run("postprocess", str(raw), "--rejection", "--bits", "1001", "--output", out) == 0
+    assert load_manifest(manifest_path_for(out)).params["input_bits"] == 1001
+    capsys.readouterr()
+    for bits in ("1002", "1008"):
+        assert run("postprocess", str(raw), "--rejection", "--bits", bits, "--output", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read {raw}: bit count {bits} outside the 0..1001 bits in the file\n"
+        )
+    assert run("test", str(raw), "--allow-short", "--bits", "1002") == 2
+
+
 def test_unwritable_output_is_io_error(tmp_path):
     raw = tmp_path / "raw.bits"
     run("generate", "--bernoulli", "0.5", "--bits", "1000", "--seed", "1",
@@ -150,6 +167,8 @@ def test_unwritable_sidecar_is_io_error(tmp_path, capsys, monkeypatch, argv, sid
     capsys.readouterr()
     assert run(*argv) == 2
     assert capsys.readouterr().err == f"error: cannot write {sidecar}: Is a directory\n"
+    # the file the manifest would have described is removed again
+    assert not Path(sidecar.removesuffix(".manifest.json")).exists()
 
 
 def test_out_of_memory_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch):

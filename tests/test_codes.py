@@ -208,7 +208,10 @@ def test_routes_agree_randomized(row):
     code = lookup_code(*row[:3])
     n = code.n
     rng = np.random.default_rng(row[0] * 1000 + row[1])
-    lengths = [0, 1, n - 1, n, n + 1, n * 200]
+    # 64 blocks fill n words exactly, and the compressor unpacks a multiple of
+    # 64 blocks at a time: the last length takes three chunks, the last one short
+    lengths = [0, 1, n - 1, n, n + 1, 64 * n - 1, 64 * n, 64 * n + 1, n * 200,
+               2 * codes._CHUNK_BITS + 1]
     lengths += [int(v) for v in rng.integers(2, 40 * n, 8) if v % n]
     for length in lengths:
         bits = rng.integers(0, 2, length, dtype=np.uint8)

@@ -252,12 +252,13 @@ def test_longest_run_tier_selection():
 
 # --- the shared passes against the per-test oracles ---
 
-@pytest.mark.parametrize("top", [1, 2, 3, 4, 5, 6, 9, 17])
+@pytest.mark.parametrize("top", [1, 2, 3, 4, 5, 6, 7, 8, 9, 17])
 def test_folded_pattern_counts_match_shift_loop(top):
-    # one pass at the top length, folded down to every shorter one; 9 and 17
-    # bits take the uint16 and uint32 passes
+    # one pass at the top length, folded down to every shorter one; windows
+    # of 8, 8, 4 and 1 patterns at 9, 10, 12 and 17 bits, and every n % 8
+    # of patterns counted one by one
     rng = np.random.default_rng(top)
-    for n in (top + 1, top + 2, 2 * top + 3, 97, 1000, 4099):
+    for n in (*range(max(top - 1, 1), top + 9), 2 * top + 3, 97, 1000, 4099):
         for p in (0.5, 0.2):
             b = (rng.random(n) < p).astype(np.uint8)
             x = _Bits(b, top)
@@ -291,7 +292,8 @@ def test_longest_run_classes_match_oracle(block_size, edges):
 
 def test_walk_extremes_match_two_cumsums():
     rng = np.random.default_rng(21)
-    for n in (1, 2, 3, 100, 1001, 65_537):
+    # every n % 8: the whole bytes and the last steps walked one by one
+    for n in (*range(1, 71), 100, 1001, 65_537):
         for b in (
             np.zeros(n, dtype=np.uint8),
             np.ones(n, dtype=np.uint8),

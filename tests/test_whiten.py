@@ -23,13 +23,17 @@ from eccrng.whiten import (
 
 
 # maximal-length sets, two- and four-tap registers, a smallest cell tap
-# above 1, a register wider than a machine word and a 1000-cell one whose
-# smallest cell tap is 37
+# above 1, registers one and two words wide, one wider than a word, and a
+# 1000-cell one whose smallest cell tap is 37; in (16, 4, 0) both taps reach
+# a shift of exactly one word (16 * 4 and 4 * 16)
 ORACLE_TAP_SETS = MAXIMAL_TAP_SETS + (
     (5, 3, 0),
     (7, 6, 5, 4, 0),
     (9, 4, 0),
+    (16, 4, 0),
+    (64, 1, 0),
     (70, 1, 0),
+    (128, 64, 0),
     (1000, 613, 37, 0),
 )
 
@@ -127,7 +131,7 @@ def test_whitening_matches_serial_oracle(taps):
     width = spec.width
     rng = random.Random(repr(taps))
     seeds = (0, 1, (1 << width) - 1, rng.getrandbits(width))
-    lengths = {0, 1, width - 1, width, width + 1, 63, 64, 65, 1023, 1025, 4095, 4097}
+    lengths = {0, 1, width - 1, width, width + 1, 63, 64, 65, 127, 128, 129, 1023, 1025, 4095, 4097}
     for seed in seeds:
         for mode in (FEEDBACK_INJECTION, OUTPUT_XOR_INJECTION):
             for length in sorted(lengths) + [rng.randrange(5001), rng.randrange(5001)]:
@@ -146,6 +150,17 @@ def test_whitening_matches_serial_oracle_on_a_long_stream(mode):
     spec = LfsrSpec((7, 3, 0))
     bits = bernoulli_stream(0.3, 15, 100_000)
     assert np.array_equal(lfsr_whiten(spec, 77, bits, mode), serial_lfsr_whiten(spec, 77, bits, mode))
+
+
+@pytest.mark.parametrize("mode", [FEEDBACK_INJECTION, OUTPUT_XOR_INJECTION])
+@pytest.mark.parametrize("length", [(1 << 16) - 1, (1 << 16) + 1])
+def test_whitening_matches_serial_oracle_either_side_of_a_word(mode, length):
+    # the last word is one bit short of full, or holds one bit; 16 * 2^2 and
+    # 4 * 2^4 are shifts of a whole word
+    spec = LfsrSpec((16, 4, 0))
+    bits = bernoulli_stream(0.3, length, length)
+    assert np.array_equal(lfsr_whiten(spec, 40_503, bits, mode),
+                          serial_lfsr_whiten(spec, 40_503, bits, mode))
 
 
 def test_whitening_accepts_list_text_and_strided_input():
